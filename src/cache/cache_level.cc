@@ -11,6 +11,10 @@ namespace slip {
 
 namespace {
 
+/** RRIP: 2 b RRPVs; one insertion in 32 is "distant" (BRRIP). */
+constexpr std::uint8_t kRripMax = 3;
+constexpr unsigned kRripBimodalOneIn = 32;
+
 /** Metric prefix of a level: "L2.0" -> "l2", "L3" -> "l3". */
 std::string
 levelTag(const std::string &name)
@@ -31,6 +35,7 @@ CacheLevel::CacheLevel(const CacheLevelConfig &cfg)
     : _cfg(cfg),
       _topo(cfg.topology, cfg.energy, cfg.ways, cfg.sublevelWays,
             cfg.waysPerRow),
+      _replRng(cfg.seed),
       _mq(cfg.movementQueueEntries, cfg.movementQueuePj)
 {
     slip_assert(cfg.sizeBytes % (std::uint64_t(cfg.ways) * kLineSize) ==
@@ -44,7 +49,10 @@ CacheLevel::CacheLevel(const CacheLevelConfig &cfg)
     _lines.resize(std::size_t(_sets) * cfg.ways);
     _tags.assign(_lines.size(), kNoTag);
     _validMask.assign(_sets, 0);
-    _repl = ReplacementPolicy::create(cfg.repl, cfg.seed);
+    if (cfg.repl == ReplKind::Lru)
+        _lruStamp.assign(_lines.size(), 0);
+    else if (cfg.repl == ReplKind::Rrip)
+        _rrpv.assign(_lines.size(), 0);
 
     // T wraps every 4C accesses; TL is the top timestampBits of T.
     _timeWrap = 4 * numLines();
@@ -101,59 +109,12 @@ CacheLevel::lookup(Addr line, AccessClass cls)
     return res;
 }
 
-LookupResult
-CacheLevel::peek(Addr line) const
-{
-    LookupResult res;
-    res.setIndex = setIndex(line);
-    const Addr *tags = &_tags[std::size_t(res.setIndex) * _cfg.ways];
-    // Invalid ways carry kNoTag, which no simulated line can equal,
-    // so this is a branch-predictable straight scan the compiler can
-    // vectorize; first match in ascending way order, as before.
-    for (unsigned w = 0; w < _cfg.ways; ++w) {
-        if (tags[w] == line) {
-            res.hit = true;
-            res.way = w;
-            return res;
-        }
-    }
-    return res;
-}
-
 void
 CacheLevel::peekBatch(const Addr *lines, std::size_t n,
                       LookupResult *out) const
 {
-    const unsigned ways = _cfg.ways;
-    for (std::size_t i = 0; i < n; ++i) {
-        const Addr line = lines[i];
-        const unsigned set = setIndex(line);
-        const Addr *tags = &_tags[std::size_t(set) * ways];
-        LookupResult res;
-        res.setIndex = set;
-        // First match in ascending way order: scan the whole set
-        // branch-free, keeping the lowest matching way. kNoTag never
-        // equals a simulated line, so invalid ways cannot match.
-        unsigned way = ways;
-        for (unsigned w = ways; w-- > 0;) {
-            if (tags[w] == line)
-                way = w;
-        }
-        if (way < ways) {
-            res.hit = true;
-            res.way = way;
-        }
-        // Contract (see the header): position-identical to peek().
-        SLIP_CHECK_EXPENSIVE(
-            const LookupResult ref = peek(line);
-            SLIP_CHECK_MSG(res.hit == ref.hit &&
-                               res.setIndex == ref.setIndex &&
-                               (!ref.hit || res.way == ref.way),
-                           "peekBatch diverges from peek() for line "
-                           "%llx",
-                           static_cast<unsigned long long>(line)));
-        out[i] = res;
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = peek(lines[i]);
 }
 
 LookupResult
@@ -185,8 +146,8 @@ CacheLevel::recordHit(unsigned set, unsigned way, bool is_write,
 {
     CacheLine &ln = lineAt(set, way);
     slip_assert(ln.valid, "hit on invalid line");
-    _repl->onHit(ln);
-    ++ln.hitCount;
+    touchRepl(set, way);
+    ln.hitCount += ln.hitCount < 3;
     if (is_write)
         ln.dirty = true;
 
@@ -228,27 +189,109 @@ CacheLevel::chooseVictim(unsigned set, std::uint32_t way_mask,
     const std::uint32_t inv = way_mask & ~_validMask[set];
     if (inv)
         return static_cast<unsigned>(std::countr_zero(inv));
-    CacheLine *lines = setArray(set);
 
     if (prefer_demoted) {
         // LRU-PEA: demoted lines are evicted first; among them pick the
-        // least recently used. Invalid ways still take precedence.
-        unsigned best = _cfg.ways;
-        std::uint64_t best_stamp = ~0ull;
-        for (unsigned w = 0; w < _cfg.ways; ++w) {
-            if (!((way_mask >> w) & 1))
-                continue;
-            if (!lines[w].valid)
-                return w;
-            if (lines[w].demoted && lines[w].lruStamp <= best_stamp) {
-                best_stamp = lines[w].lruStamp;
-                best = w;
-            }
+        // least recently used. A level without LRU stamps has no
+        // recency order, and the tie goes to the highest-numbered way.
+        const CacheLine *lines = &_lines[std::size_t(set) * _cfg.ways];
+        std::uint32_t demoted = 0;
+        for (std::uint32_t m = way_mask; m; m &= m - 1) {
+            const unsigned w = static_cast<unsigned>(std::countr_zero(m));
+            if (lines[w].demoted)
+                demoted |= 1u << w;
         }
-        if (best < _cfg.ways)
-            return best;
+        if (demoted)
+            return _cfg.repl == ReplKind::Lru
+                       ? lruVictim(set, demoted)
+                       : 31u - static_cast<unsigned>(
+                                   std::countl_zero(demoted));
     }
-    return _repl->victim(lines, _cfg.ways, way_mask);
+    switch (_cfg.repl) {
+      case ReplKind::Lru:
+        return lruVictim(set, way_mask);
+      case ReplKind::Rrip:
+        return rripVictim(set, way_mask);
+      case ReplKind::Random:
+        return randomVictim(way_mask);
+    }
+    panic("unknown replacement kind");
+}
+
+void
+CacheLevel::touchRepl(unsigned set, unsigned way)
+{
+    const std::size_t i = std::size_t(set) * _cfg.ways + way;
+    if (_cfg.repl == ReplKind::Lru)
+        _lruStamp[i] = ++_lruClock;
+    else if (_cfg.repl == ReplKind::Rrip)
+        _rrpv[i] = 0;
+}
+
+void
+CacheLevel::insertRepl(unsigned set, unsigned way)
+{
+    const std::size_t i = std::size_t(set) * _cfg.ways + way;
+    if (_cfg.repl == ReplKind::Lru) {
+        _lruStamp[i] = ++_lruClock;
+    } else if (_cfg.repl == ReplKind::Rrip) {
+        // Mostly "long" re-reference interval; occasionally "distant"
+        // for thrash resistance.
+        _rrpv[i] = _replRng.oneIn(kRripBimodalOneIn)
+                       ? kRripMax
+                       : static_cast<std::uint8_t>(kRripMax - 1);
+    }
+}
+
+unsigned
+CacheLevel::lruVictim(unsigned set, std::uint32_t way_mask) const
+{
+    // Branch-free min over the masked stamps of a fully valid mask.
+    // Masked-out ways read as the maximum stamp and never win. Stamps
+    // of valid ways are unique (one per-level clock), so the minimum
+    // has no ties to break.
+    const std::uint64_t *stamps =
+        &_lruStamp[std::size_t(set) * _cfg.ways];
+    unsigned best = _cfg.ways;
+    std::uint64_t best_stamp = ~0ull;
+    for (unsigned w = 0; w < _cfg.ways; ++w) {
+        const std::uint64_t out_of_mask =
+            std::uint64_t((way_mask >> w) & 1) - 1;
+        const std::uint64_t s = stamps[w] | out_of_mask;
+        const bool take = s < best_stamp;
+        best_stamp = take ? s : best_stamp;
+        best = take ? w : best;
+    }
+    slip_assert(best < _cfg.ways, "no victim in mask 0x%x", way_mask);
+    return best;
+}
+
+unsigned
+CacheLevel::rripVictim(unsigned set, std::uint32_t way_mask)
+{
+    std::uint8_t *rrpv = &_rrpv[std::size_t(set) * _cfg.ways];
+    // Search for a distant (rrpv == max) line; age the candidates and
+    // retry until one appears. Aging is confined to the mask so each
+    // sublevel keeps independent RRIP metadata (Section 7).
+    for (;;) {
+        for (std::uint32_t m = way_mask; m; m &= m - 1) {
+            const unsigned w = static_cast<unsigned>(std::countr_zero(m));
+            if (rrpv[w] >= kRripMax)
+                return w;
+        }
+        for (std::uint32_t m = way_mask; m; m &= m - 1)
+            ++rrpv[std::countr_zero(m)];
+    }
+}
+
+unsigned
+CacheLevel::randomVictim(std::uint32_t way_mask)
+{
+    // The pick-th set bit of the mask, pick uniform in [0, count).
+    std::uint32_t m = way_mask;
+    for (auto pick = _replRng.below(popCount(way_mask)); pick > 0; --pick)
+        m &= m - 1;
+    return static_cast<unsigned>(std::countr_zero(m));
 }
 
 void
@@ -268,7 +311,7 @@ CacheLevel::installLine(unsigned set, unsigned way, Addr line_addr,
     ln.tl = tlNow();
     ln.hitCount = 0;
     ln.demoted = false;
-    _repl->onInsert(ln);
+    insertRepl(set, way);
     syncShadow(set, way);
 
     ++_stats.insertions;
@@ -293,7 +336,7 @@ CacheLevel::moveLine(unsigned set, unsigned from, unsigned to)
 
     dst = src;
     src.invalidate();
-    _repl->onInsert(dst);
+    insertRepl(set, to);
     syncShadow(set, from);
     syncShadow(set, to);
 
@@ -316,7 +359,7 @@ CacheLevel::recordWriteback(unsigned set, unsigned way)
 {
     CacheLine &ln = lineAt(set, way);
     slip_assert(ln.valid, "writeback into invalid line");
-    _repl->onHit(ln);
+    touchRepl(set, way);
     ln.dirty = true;
     chargeEnergy(EnergyCat::Movement, obs::EnergyCause::Writeback,
                  _topo.wayAccessEnergy(way));
@@ -332,8 +375,8 @@ CacheLevel::swapLines(unsigned set, unsigned a, unsigned b)
     slip_assert(la.valid && lb.valid, "swapping invalid lines");
 
     std::swap(la, lb);
-    _repl->onInsert(la);
-    _repl->onInsert(lb);
+    insertRepl(set, a);
+    insertRepl(set, b);
     syncShadow(set, a);
     syncShadow(set, b);
 
@@ -366,7 +409,7 @@ CacheLevel::evictLine(unsigned set, unsigned way)
     ev.dirty = ln.dirty;
     ev.policies = ln.policies;
 
-    ++_stats.reuseHistogram[std::min<std::uint32_t>(ln.hitCount, 3)];
+    ++_stats.reuseHistogram[ln.hitCount];
     if (ln.dirty) {
         ++_stats.writebacks;
         _ctrWritebacks->add();
@@ -393,7 +436,7 @@ CacheLevel::invalidate(Addr line, bool *was_dirty)
     CacheLine &ln = lineAt(res.setIndex, res.way);
     if (was_dirty)
         *was_dirty = ln.dirty;
-    ++_stats.reuseHistogram[std::min<std::uint32_t>(ln.hitCount, 3)];
+    ++_stats.reuseHistogram[ln.hitCount];
     ln.invalidate();
     syncShadow(res.setIndex, res.way);
     SLIP_CHECK(!peek(line).hit);
@@ -448,12 +491,24 @@ CacheLevel::checkInvariants() const
             slip_assert(setIndex(ln.tag) == s,
                         "line 0x%llx stored in wrong set %u",
                         static_cast<unsigned long long>(ln.tag), s);
-            // No duplicate tags within a set.
+            // LRU victim selection relies on unique stamps among the
+            // valid ways of a set, each from the level clock.
+            const std::size_t i = std::size_t(s) * _cfg.ways + w;
+            if (_cfg.repl == ReplKind::Lru)
+                slip_assert(_lruStamp[i] >= 1 &&
+                                _lruStamp[i] <= _lruClock,
+                            "LRU stamp out of range at (%u, %u)", s, w);
+            // No duplicate tags (or LRU stamps) within a set.
             for (unsigned w2 = w + 1; w2 < _cfg.ways; ++w2) {
                 const CacheLine &other = lineAt(s, w2);
-                slip_assert(!other.valid || other.tag != ln.tag,
+                if (!other.valid)
+                    continue;
+                slip_assert(other.tag != ln.tag,
                             "duplicate line 0x%llx in set %u",
                             static_cast<unsigned long long>(ln.tag), s);
+                slip_assert(_cfg.repl != ReplKind::Lru ||
+                                _lruStamp[i] != _lruStamp[i + w2 - w],
+                            "duplicate LRU stamp in set %u", s);
             }
         }
     }

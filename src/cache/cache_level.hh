@@ -19,7 +19,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,6 +31,7 @@
 #include "obs/metrics.hh"
 #include "util/bitops.hh"
 #include "util/check.hh"
+#include "util/random.hh"
 
 namespace slip {
 
@@ -189,10 +189,16 @@ class CacheLevel
         return _lines[std::size_t(set) * _cfg.ways + way];
     }
 
-    /** First line of a set (for ReplacementPolicy calls). */
-    CacheLine *setArray(unsigned set)
+    /** Whether (set, way) holds a line, from the valid shadow. */
+    bool isValid(unsigned set, unsigned way) const
     {
-        return &_lines[std::size_t(set) * _cfg.ways];
+        return (_validMask[set] >> way) & 1;
+    }
+
+    /** Way mask of every way: sublevelMask(0, kNumSublevels), inline. */
+    std::uint32_t allWaysMask() const
+    {
+        return _slMaskCum[kNumSublevels];
     }
 
     // ------------------------------------------------------------------
@@ -207,16 +213,35 @@ class CacheLevel
      */
     LookupResult lookup(Addr line, AccessClass cls);
 
-    /** Tag probe with no side effects (tests, invariants). */
-    LookupResult peek(Addr line) const;
+    /**
+     * Tag probe with no side effects: a branch-free scan of the whole
+     * set's packed shadow tags, keeping the lowest matching way.
+     */
+    LookupResult
+    peek(Addr line) const
+    {
+        const unsigned ways = _cfg.ways;
+        LookupResult res;
+        res.setIndex = setIndex(line);
+        const Addr *tags = &_tags[std::size_t(res.setIndex) * ways];
+        // kNoTag never equals a simulated line, so invalid ways
+        // cannot match.
+        unsigned way = ways;
+        for (unsigned w = ways; w-- > 0;) {
+            if (tags[w] == line)
+                way = w;
+        }
+        if (way < ways) {
+            res.hit = true;
+            res.way = way;
+        }
+        return res;
+    }
 
     /**
      * Probe @p n line addresses with no side effects, writing one
-     * LookupResult each into @p out. SoA form of peek(): the inner
-     * loop compares a chunk of references against the packed shadow
-     * tag words with no stats/energy bookkeeping interleaved, so the
-     * compiler can keep the whole scan in registers and vectorize it.
-     * Results are position-identical to calling peek() per element.
+     * LookupResult each into @p out: peek() over a chunk of
+     * references with no stats/energy bookkeeping interleaved.
      */
     void peekBatch(const Addr *lines, std::size_t n,
                    LookupResult *out) const;
@@ -249,9 +274,11 @@ class CacheLevel
     std::uint32_t sublevelMask(unsigned sl_begin, unsigned sl_end) const;
 
     /**
-     * Choose a victim way among @p way_mask using the underlying
-     * replacement policy (invalid ways first).
-     * @param prefer_demoted LRU-PEA's priority eviction of demoted lines
+     * Choose a victim way among @p way_mask using the level's
+     * replacement policy (invalid ways first, lowest way first).
+     * @param prefer_demoted LRU-PEA's priority eviction of demoted
+     *        lines: among demoted candidates, the least recently used
+     *        on an LRU level, the highest-numbered otherwise
      */
     unsigned chooseVictim(unsigned set, std::uint32_t way_mask,
                           bool prefer_demoted = false);
@@ -376,6 +403,15 @@ class CacheLevel
     void checkInvariants() const;
 
   private:
+    /** Replacement update for a referenced line (hit, writeback). */
+    void touchRepl(unsigned set, unsigned way);
+    /** Replacement update for a line installed or moved into a way. */
+    void insertRepl(unsigned set, unsigned way);
+
+    unsigned lruVictim(unsigned set, std::uint32_t way_mask) const;
+    unsigned rripVictim(unsigned set, std::uint32_t way_mask);
+    unsigned randomVictim(std::uint32_t way_mask);
+
     /**
      * Shadow tag of an invalid way. No simulated line address can
      * reach it: demand lines are bounded by the workload ranges and
@@ -405,14 +441,24 @@ class CacheLevel
     std::vector<CacheLine> _lines;
 
     // Tag-probe shadows of _lines: a packed tag array plus a per-set
-    // valid bitmask, so peek() touches 16 bytes per inspected way
-    // instead of a whole CacheLine. Tag/valid state changes only in
-    // installLine / moveLine / swapLines / evictLine / invalidate,
-    // which maintain these (checkInvariants verifies).
+    // valid bitmask, so peek() reads one contiguous 8-byte word per
+    // way instead of striding over CacheLines. Tag/valid state
+    // changes only in installLine / moveLine / swapLines / evictLine /
+    // invalidate, which maintain these (checkInvariants verifies).
     std::vector<Addr> _tags;
     std::vector<std::uint32_t> _validMask;
 
-    std::unique_ptr<ReplacementPolicy> _repl;
+    // Replacement state, packed [set*ways+way] like _tags and sized
+    // only for the level's own policy. LRU stamps come from one
+    // per-level clock that every install, move, swap, hit and
+    // writeback advances, so the stamps of valid ways are unique.
+    // State of an invalid way is stale and never read: an invalid way
+    // in the mask wins before any policy looks at state.
+    std::vector<std::uint64_t> _lruStamp;  ///< LRU recency stamps
+    std::vector<std::uint8_t> _rrpv;       ///< RRIP RRPVs
+    std::uint64_t _lruClock = 0;
+    Random _replRng;  ///< RRIP insertion / random victim draws
+
     MovementQueue _mq;
 
     std::uint64_t _time = 0;      ///< per-level access counter T

@@ -55,10 +55,8 @@ BaselineController::fill(Addr line, bool dirty, const PageCtx &page,
 {
     (void)page;
     const unsigned set = _level.setIndex(line);
-    const std::uint32_t all_ways =
-        _level.sublevelMask(0, kNumSublevels);
-    const unsigned way = _level.chooseVictim(set, all_ways);
-    if (_level.lineAt(set, way).valid)
+    const unsigned way = _level.chooseVictim(set, _level.allWaysMask());
+    if (_level.isValid(set, way))
         out.push_back(_level.evictLine(set, way));
     _level.installLine(set, way, line, dirty, PolicyPair{},
                        InsertClass::Default);

@@ -6,8 +6,10 @@
  * metadata the paper budgets (Section 4.3, Figure 7): the 3 b SLIP codes
  * for both lower levels (copied alongside the line so eviction decisions
  * never re-probe the TLB) and a 6 b insertion timestamp TL used for
- * online reuse-distance measurement. A scratch byte holds baseline-policy
- * state (LRU-PEA's demoted flag, DRRIP's RRPV).
+ * online reuse-distance measurement. A spare byte holds LRU-PEA's
+ * demoted flag. Replacement state (LRU stamps, RRIP RRPVs) is not kept
+ * here: CacheLevel packs it into per-level [set*ways+way] arrays, so a
+ * line is 16 bytes.
  */
 
 #ifndef SLIP_CACHE_LINE_HH
@@ -44,11 +46,11 @@ struct CacheLine
     PolicyPair policies;     ///< 6 b of SLIP codes (both levels)
     std::uint8_t tl = 0;     ///< 6 b insertion/last-access timestamp
 
-    std::uint64_t lruStamp = 0;  ///< recency for LRU replacement
-    std::uint8_t rrpv = 0;       ///< DRRIP re-reference prediction value
     bool demoted = false;        ///< LRU-PEA priority-eviction flag
 
-    std::uint32_t hitCount = 0;  ///< hits since insertion (Figure 1)
+    /** Hits since insertion, saturating at 3: Figure 1 only tells
+     * 0, 1, 2 and more than 2 hits apart. */
+    std::uint8_t hitCount = 0;
 
     /** Clear everything (an invalidation). */
     void
@@ -57,13 +59,15 @@ struct CacheLine
         valid = false;
         dirty = false;
         tl = 0;
-        lruStamp = 0;
-        rrpv = 0;
         demoted = false;
         hitCount = 0;
         policies = PolicyPair{};
     }
 };
+
+static_assert(sizeof(CacheLine) == 16,
+              "CacheLine grew: its 16 bytes pay for CacheLevel's packed "
+              "LRU stamps");
 
 } // namespace slip
 

@@ -1,25 +1,6 @@
 #include "cache/replacement.hh"
 
-#include <bit>
-
-#include "util/bitops.hh"
-#include "util/logging.hh"
-
 namespace slip {
-
-namespace {
-
-/** First invalid way in the mask, or ways if none. */
-unsigned
-firstInvalid(const CacheLine *set, unsigned ways, std::uint32_t mask)
-{
-    for (unsigned w = 0; w < ways; ++w)
-        if ((mask >> w) & 1 && !set[w].valid)
-            return w;
-    return ways;
-}
-
-} // namespace
 
 const char *
 replCliName(ReplKind kind)
@@ -47,89 +28,6 @@ parseReplKind(const std::string &v, ReplKind &out)
     else
         return false;
     return true;
-}
-
-std::unique_ptr<ReplacementPolicy>
-ReplacementPolicy::create(ReplKind kind, std::uint64_t seed)
-{
-    switch (kind) {
-      case ReplKind::Lru:
-        return std::make_unique<LruReplacement>();
-      case ReplKind::Rrip:
-        return std::make_unique<RripReplacement>(seed);
-      case ReplKind::Random:
-        return std::make_unique<RandomReplacement>(seed);
-    }
-    panic("unknown replacement kind");
-}
-
-unsigned
-LruReplacement::victim(CacheLine *set, unsigned ways,
-                       std::uint32_t way_mask)
-{
-    slip_assert(way_mask != 0, "empty victim mask");
-    // One ascending pass over the mask's set bits: the first invalid
-    // way wins outright (as the old two-pass scan chose), otherwise
-    // the minimum stamp with "<=" keeps the highest-numbered way on
-    // ties, which only matters for freshly reset stamps.
-    unsigned best = ways;
-    std::uint64_t best_stamp = ~0ull;
-    for (std::uint32_t m = way_mask; m; m &= m - 1) {
-        const unsigned w = static_cast<unsigned>(std::countr_zero(m));
-        if (w >= ways)
-            break;
-        if (!set[w].valid)
-            return w;
-        if (set[w].lruStamp <= best_stamp) {
-            best_stamp = set[w].lruStamp;
-            best = w;
-        }
-    }
-    slip_assert(best < ways, "no victim in mask 0x%x", way_mask);
-    return best;
-}
-
-unsigned
-RripReplacement::victim(CacheLine *set, unsigned ways,
-                        std::uint32_t way_mask)
-{
-    slip_assert(way_mask != 0, "empty victim mask");
-    const unsigned inv = firstInvalid(set, ways, way_mask);
-    if (inv < ways)
-        return inv;
-
-    // Search for a distant (rrpv == max) line; age the candidates and
-    // retry until one appears. Aging is confined to the mask so each
-    // sublevel keeps independent RRIP metadata (Section 7).
-    for (;;) {
-        for (unsigned w = 0; w < ways; ++w)
-            if ((way_mask >> w) & 1 && set[w].rrpv >= _max)
-                return w;
-        for (unsigned w = 0; w < ways; ++w)
-            if ((way_mask >> w) & 1)
-                ++set[w].rrpv;
-    }
-}
-
-unsigned
-RandomReplacement::victim(CacheLine *set, unsigned ways,
-                          std::uint32_t way_mask)
-{
-    slip_assert(way_mask != 0, "empty victim mask");
-    const unsigned inv = firstInvalid(set, ways, way_mask);
-    if (inv < ways)
-        return inv;
-
-    const unsigned count = popCount(way_mask);
-    unsigned pick = static_cast<unsigned>(_rng.below(count));
-    for (unsigned w = 0; w < ways; ++w) {
-        if (!((way_mask >> w) & 1))
-            continue;
-        if (pick == 0)
-            return w;
-        --pick;
-    }
-    panic("random victim fell off mask 0x%x", way_mask);
 }
 
 } // namespace slip

@@ -1,23 +1,19 @@
 /**
  * @file
- * Replacement policies that select a victim from an arbitrary subset of
- * ways (a SLIP chunk, a NuRAPID d-group, an LRU-PEA bankcluster).
+ * Replacement-policy selection for a cache level.
  *
  * SLIP is orthogonal to replacement (Section 3.1): the underlying policy
  * only answers "which line in this way mask should be displaced?". The
  * evaluation uses LRU; an RRIP-family policy (Section 7's DRRIP
- * adaptation) and a random policy are provided as well.
+ * adaptation) and a random policy are provided as well. CacheLevel
+ * owns the per-way replacement state in packed arrays and implements
+ * all three victim searches (cache/cache_level.hh).
  */
 
 #ifndef SLIP_CACHE_REPLACEMENT_HH
 #define SLIP_CACHE_REPLACEMENT_HH
 
-#include <cstdint>
-#include <memory>
 #include <string>
-
-#include "cache/line.hh"
-#include "util/random.hh"
 
 namespace slip {
 
@@ -33,103 +29,6 @@ const char *replCliName(ReplKind kind);
 
 /** Parse a CLI/scenario replacement key; false on unknown names. */
 bool parseReplKind(const std::string &v, ReplKind &out);
-
-/** Victim selection over a way mask; state lives in the lines. */
-class ReplacementPolicy
-{
-  public:
-    virtual ~ReplacementPolicy() = default;
-
-    virtual const char *name() const = 0;
-
-    /** A line was referenced. */
-    virtual void onHit(CacheLine &line) = 0;
-
-    /** A line was (re)inserted or moved into a way. */
-    virtual void onInsert(CacheLine &line) = 0;
-
-    /**
-     * Choose a victim way among the ways set in @p way_mask.
-     * Invalid ways are always preferred. @p way_mask must be nonzero.
-     *
-     * @param set   the set's lines
-     * @param ways  associativity
-     * @param way_mask bit i set when way i is a candidate
-     */
-    virtual unsigned victim(CacheLine *set, unsigned ways,
-                            std::uint32_t way_mask) = 0;
-
-    /** Factory. */
-    static std::unique_ptr<ReplacementPolicy> create(ReplKind kind,
-                                                     std::uint64_t seed);
-};
-
-/** Exact LRU via monotonically increasing stamps. */
-class LruReplacement : public ReplacementPolicy
-{
-  public:
-    const char *name() const override { return "lru"; }
-    void onHit(CacheLine &line) override { line.lruStamp = ++_clock; }
-    void onInsert(CacheLine &line) override { line.lruStamp = ++_clock; }
-    unsigned victim(CacheLine *set, unsigned ways,
-                    std::uint32_t way_mask) override;
-
-  private:
-    std::uint64_t _clock = 0;
-};
-
-/**
- * SRRIP with a bimodal (BRRIP-style) insertion component, i.e. the
- * static-dueling simplification of DRRIP. Victim search and RRPV aging
- * are confined to the candidate way mask, which is exactly the §7
- * per-sublevel-metadata adaptation.
- */
-class RripReplacement : public ReplacementPolicy
-{
-  public:
-    explicit RripReplacement(std::uint64_t seed, unsigned rrpv_bits = 2,
-                             unsigned bimodal_one_in = 32)
-        : _rng(seed), _max((1u << rrpv_bits) - 1),
-          _bimodalOneIn(bimodal_one_in)
-    {}
-
-    const char *name() const override { return "rrip"; }
-    void onHit(CacheLine &line) override { line.rrpv = 0; }
-
-    void
-    onInsert(CacheLine &line) override
-    {
-        // Mostly "long" re-reference interval; occasionally "distant"
-        // for thrash resistance.
-        line.rrpv = _rng.oneIn(_bimodalOneIn)
-                        ? _max
-                        : static_cast<std::uint8_t>(_max - 1);
-    }
-
-    unsigned victim(CacheLine *set, unsigned ways,
-                    std::uint32_t way_mask) override;
-
-  private:
-    Random _rng;
-    std::uint8_t _max;
-    unsigned _bimodalOneIn;
-};
-
-/** Uniform-random victim (invalid-first). */
-class RandomReplacement : public ReplacementPolicy
-{
-  public:
-    explicit RandomReplacement(std::uint64_t seed) : _rng(seed) {}
-
-    const char *name() const override { return "random"; }
-    void onHit(CacheLine &) override {}
-    void onInsert(CacheLine &) override {}
-    unsigned victim(CacheLine *set, unsigned ways,
-                    std::uint32_t way_mask) override;
-
-  private:
-    Random _rng;
-};
 
 } // namespace slip
 

@@ -35,7 +35,29 @@ constexpr std::uint8_t kHeadWrite = 1u << 0;
 constexpr std::uint8_t kHeadCore = 1u << 1;
 constexpr std::uint8_t kHeadKnown = kHeadWrite | kHeadCore;
 constexpr unsigned kMaxVarintBytes = 10;
+/** Longest SLIPTRC2 record: the head byte and three full varints. */
+constexpr std::size_t kTrc2MaxRecordBytes = 1 + 3 * kMaxVarintBytes;
 constexpr std::size_t kIoChunk = 1u << 18;  // 256 KB
+
+/** How decoding one LEB128 varint from a byte window ended. */
+enum class VarintStatus { Ok, Truncated, Overrun };
+
+/** Decode the varint at @p p within [p, end), advancing @p p. */
+inline VarintStatus
+getVarint(const std::uint8_t *&p, const std::uint8_t *end,
+          std::uint64_t &v)
+{
+    v = 0;
+    for (unsigned i = 0; i < kMaxVarintBytes; ++i) {
+        if (p == end)
+            return VarintStatus::Truncated;
+        const std::uint8_t b = *p++;
+        v |= std::uint64_t(b & 0x7f) << (7 * i);
+        if ((b & 0x80) == 0)
+            return VarintStatus::Ok;
+    }
+    return VarintStatus::Overrun;
+}
 
 std::uint64_t
 zigzagEncode(std::int64_t v)
@@ -360,21 +382,29 @@ TraceReader::at(std::uint64_t off) const
     return _path + ": offset " + std::to_string(off) + ": ";
 }
 
-/** Refill the window; true when at least one byte is buffered. */
+/**
+ * Top the window up to at least @p want buffered bytes (fewer only at
+ * the end of input), carrying the unconsumed tail to the front first.
+ * @return true when at least one byte is buffered
+ */
 bool
-TraceReader::fill(std::string &err)
+TraceReader::fill(std::string &err, std::size_t want)
 {
-    if (_pos < _len)
-        return true;
-    if (_end)
-        return false;
-    _base += _len;
+    if (_len - _pos >= want || _end)
+        return _pos < _len;
+    const std::size_t tail = _len - _pos;
+    std::memmove(_buf.data(), _buf.data() + _pos, tail);
+    _base += _pos;
     _pos = 0;
-    _len = _in.read(_buf.data(), _buf.size(), err);
-    if (!err.empty())
-        return false;
-    if (_len == 0)
-        _end = true;
+    _len = tail;
+    while (_len < want && !_end) {
+        const std::size_t n =
+            _in.read(_buf.data() + _len, _buf.size() - _len, err);
+        if (!err.empty())
+            return false;
+        _end = n == 0;
+        _len += n;
+    }
     return _len > 0;
 }
 
@@ -385,29 +415,6 @@ TraceReader::getByte(std::string &err)
     if (!fill(err))
         return -1;
     return _buf[_pos++];
-}
-
-std::string
-TraceReader::readVarint(std::uint64_t &v, const char *what)
-{
-    const std::uint64_t start = offset();
-    v = 0;
-    for (unsigned i = 0;; ++i) {
-        if (i == kMaxVarintBytes)
-            return at(start) + "varint overrun decoding " + what +
-                   " (more than " +
-                   std::to_string(kMaxVarintBytes) + " bytes)";
-        std::string err;
-        const int b = getByte(err);
-        if (b < 0)
-            return !err.empty()
-                       ? err
-                       : at(start) + "truncated varint decoding " +
-                             what + " (file ends mid-record)";
-        v |= std::uint64_t(b & 0x7f) << (7 * i);
-        if ((b & 0x80) == 0)
-            return "";
-    }
 }
 
 std::string
@@ -537,53 +544,75 @@ TraceReader::nextSliptrc2(TraceRecord &out, std::string &err)
         return false;
     }
 
+    // One pass over a contiguous record: the window holds the longest
+    // possible record unless the input ends first, so running off its
+    // end means the file ends mid-record.
+    if (!fill(err, kTrc2MaxRecordBytes) && !err.empty())
+        return false;
+    const std::uint8_t *const begin = _buf.data() + _pos;
+    const std::uint8_t *const end = _buf.data() + _len;
     const std::uint64_t start = offset();
-    const int head = getByte(err);
-    if (head < 0) {
-        if (err.empty())
-            err = at(start) + "truncated trace: file ends after " +
-                  std::to_string(_nread) + " of " +
-                  std::to_string(_info.recordCount) + " records";
+    if (begin == end) {
+        err = at(start) + "truncated trace: file ends after " +
+              std::to_string(_nread) + " of " +
+              std::to_string(_info.recordCount) + " records";
         return false;
     }
-    if ((head & ~int(kHeadKnown)) != 0) {
+    const std::uint8_t *p = begin;
+    const std::uint8_t head = *p++;
+    if ((head & ~kHeadKnown) != 0) {
         char hex[16];
         std::snprintf(hex, sizeof(hex), "0x%02x", unsigned(head));
         err = at(start) + "invalid record flags " + hex;
         return false;
     }
 
-    if (head & kHeadCore) {
-        std::uint64_t core;
-        err = readVarint(core, "core id");
-        if (!err.empty())
+    // Decode one varint field, naming its first byte on failure.
+    const auto field = [&](std::uint64_t &v, const char *what) {
+        const std::uint64_t off = start + std::uint64_t(p - begin);
+        switch (getVarint(p, end, v)) {
+          case VarintStatus::Ok:
+            return true;
+          case VarintStatus::Overrun:
+            err = at(off) + "varint overrun decoding " + what +
+                  " (more than " + std::to_string(kMaxVarintBytes) +
+                  " bytes)";
             return false;
-        if (core >= _info.coreCount) {
+          case VarintStatus::Truncated:
+            break;
+        }
+        err = at(off) + "truncated varint decoding " + what +
+              " (file ends mid-record)";
+        return false;
+    };
+
+    unsigned core = _core;
+    if (head & kHeadCore) {
+        std::uint64_t id;
+        if (!field(id, "core id"))
+            return false;
+        if (id >= _info.coreCount) {
             err = at(start) + "impossible core id " +
-                  std::to_string(core) + " (trace has " +
+                  std::to_string(id) + " (trace has " +
                   std::to_string(_info.coreCount) + " cores)";
             return false;
         }
-        _core = static_cast<unsigned>(core);
+        core = static_cast<unsigned>(id);
     }
 
     std::uint64_t zz;
-    err = readVarint(zz, "address delta");
-    if (!err.empty())
+    if (!field(zz, "address delta"))
         return false;
-    const std::uint64_t addr =
-        _prevAddr[_core] +
-        static_cast<std::uint64_t>(zigzagDecode(zz));
-    _prevAddr[_core] = addr;
-
     std::uint64_t ic = 1;
-    if (_info.hasIcount) {
-        err = readVarint(ic, "icount delta");
-        if (!err.empty())
-            return false;
-    }
+    if (_info.hasIcount && !field(ic, "icount delta"))
+        return false;
 
-    out.core = _core;
+    _pos += static_cast<std::size_t>(p - begin);
+    _core = core;
+    const std::uint64_t addr =
+        _prevAddr[core] + static_cast<std::uint64_t>(zigzagDecode(zz));
+    _prevAddr[core] = addr;
+    out.core = core;
     out.addr = addr;
     out.write = (head & kHeadWrite) != 0;
     out.icountDelta = ic;
@@ -957,17 +986,25 @@ TraceSource::open(const std::string &path, unsigned core, bool loop,
 bool
 TraceSource::next(MemAccess &out)
 {
+    return nextBatch(&out, 1) == 1;
+}
+
+std::size_t
+TraceSource::nextBatch(MemAccess *out, std::size_t max)
+{
     TraceRecord rec;
     std::string err;
-    for (;;) {
+    std::size_t n = 0;
+    while (n < max) {
         if (_reader.next(rec, err)) {
             if (_filter && rec.core != _core)
                 continue;
             ++_matchedThisPass;
-            out.addr = rec.addr;
-            out.type = rec.write ? AccessType::Write
-                                 : AccessType::Read;
-            return true;
+            out[n].addr = rec.addr;
+            out[n].type = rec.write ? AccessType::Write
+                                    : AccessType::Read;
+            ++n;
+            continue;
         }
         // The file was validated when the source was opened, so a
         // decode error here means it changed underneath the run.
@@ -976,12 +1013,13 @@ TraceSource::next(MemAccess &out)
         // Looping a pass that produced nothing for this core would
         // spin forever; treat it as exhaustion instead.
         if (!_loop || _matchedThisPass == 0)
-            return false;
+            break;
         _matchedThisPass = 0;
         err = _reader.rewind();
         if (!err.empty())
             fatal("%s", err.c_str());
     }
+    return n;
 }
 
 void

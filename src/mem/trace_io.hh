@@ -43,6 +43,9 @@
  *           varint zigzag(addr - prev addr of this core)
  *           [varint icount-delta] only with header flag bit0
  * Varints are LEB128, at most 10 bytes ("varint overrun" beyond).
+ * The reader decodes a record in one pointer pass over its window: a
+ * refill carries the unconsumed tail forward, so a whole record (at
+ * most 31 bytes) is contiguous unless the input ends there.
  */
 
 #ifndef SLIP_MEM_TRACE_IO_HH
@@ -162,9 +165,8 @@ class TraceReader
     std::uint64_t recordsRead() const { return _nread; }
 
   private:
-    bool fill(std::string &err);
+    bool fill(std::string &err, std::size_t want = 1);
     int getByte(std::string &err);
-    std::string readVarint(std::uint64_t &v, const char *what);
     std::string parseHeader();
     bool nextSliptrc2(TraceRecord &out, std::string &err);
     bool nextSliptrc1(TraceRecord &out, std::string &err);
@@ -265,6 +267,11 @@ class TraceSource : public AccessSource
                                              std::string *err);
 
     bool next(MemAccess &out) override;
+
+    /** Decode up to @p max accesses in one call; the same records,
+     * demux and looping as repeated next() calls. */
+    std::size_t nextBatch(MemAccess *out, std::size_t max) override;
+
     void reset() override;
 
     const TraceInfo &info() const { return _reader.info(); }

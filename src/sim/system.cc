@@ -33,7 +33,8 @@ System::System(const SystemConfig &cfg)
       _samplingAlways(cfg.samplingMode == SamplingMode::Always),
       _l1RefPj(cfg.l1HitsPerMiss * cfg.tech.l1AccessPj),
       _rdBlockPages(cfg.rdBlockPages), _dram(cfg.tech),
-      _pageTable(defaultPolicies()), _metadata(cfg.rdBinBits),
+      _defaultPolicies(defaultPolicies()),
+      _pageTable(_defaultPolicies), _metadata(cfg.rdBinBits),
       _sampling(cfg.nsamp, cfg.nstab,
                 cfg.samplingMode == SamplingMode::TimeBased,
                 cfg.seed * 977 + 13)
@@ -222,7 +223,7 @@ System::pageCtx(Addr page)
     PageCtx ctx;
     ctx.page = page;
     if (!_isSlip) {
-        ctx.policies = defaultPolicies();
+        ctx.policies = _defaultPolicies;
         return ctx;
     }
     const Pte &pte = _pageTable.pte(rdBlock(page));
@@ -240,9 +241,9 @@ System::pageCtx(Addr page)
 void
 System::recordRd(const PageCtx &ctx, int slot, int bin)
 {
-    perf::ScopedPhase profile_scope(perf::Phase::RdProfile);
     if (slot < 0 || !ctx.collectRd || !_isSlip || bin < 0)
         return;
+    perf::ScopedPhase profile_scope(perf::Phase::RdProfile);
     // Only sampling pages reach here, so this is off the hot path.
     static obs::Counter &records_ctr = obs::counter("rd.records");
     records_ctr.add();
@@ -371,7 +372,7 @@ System::metadataAccess(unsigned core_id, Addr line, bool is_write,
                        AccessClass cls)
 {
     PageCtx ctx;
-    ctx.policies = defaultPolicies();
+    ctx.policies = _defaultPolicies;
     ctx.useDefault = true;  // metadata lines always use the Default SLIP
 
     const unsigned nlevels = static_cast<unsigned>(_levels.size());
@@ -1141,7 +1142,7 @@ System::frontAccessFull(unsigned core_id, const MemAccess &acc,
             // path, demand class); the merge stage finishes it from
             // the first shared level when every private level missed.
             PageCtx mctx;
-            mctx.policies = defaultPolicies();
+            mctx.policies = _defaultPolicies;
             mctx.useDefault = true;
             bool shared_miss = false;
             lat += frontWalk(core_id, _pageTable.pteLine(fr.page),
@@ -1262,7 +1263,7 @@ System::mergeRef(unsigned core_id, const pipe::FrontRef &fr,
         _pageTable.pte(rdBlock(fr.page));
         if (fr.flags & pipe::kRefPteShared) {
             PageCtx mctx;
-            mctx.policies = defaultPolicies();
+            mctx.policies = _defaultPolicies;
             mctx.useDefault = true;
             lat += sharedWalkFill(core_id, _pageTable.pteLine(fr.page),
                                   mctx, AccessClass::Demand);

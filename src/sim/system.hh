@@ -593,6 +593,9 @@ class System
     std::vector<std::unique_ptr<Core>> _cores;
     DramModel _dram;
 
+    /** SLIP codes of unseen pages and metadata lines: the Default
+     * policy at both SLIP levels, computed once. */
+    const PolicyPair _defaultPolicies;
     PageTable _pageTable;
     MetadataStore _metadata;
     SamplingController _sampling;
