@@ -39,7 +39,7 @@ namespace perf {
 /** The instrumented phases of the per-access simulation loop. */
 enum class Phase : unsigned {
     WorkloadGen,  ///< chunked AccessSource::nextBatch pulls
-    Tlb,          ///< handleTlbMiss: walk, sampling, metadata, EOU
+    Tlb,          ///< System::tlbMiss: walk, sampling, metadata, EOU
     RdProfile,    ///< reuse-distance recording into the metadata store
     CacheWalk,    ///< the L1→L2→L3→DRAM demand path incl. fills
     Eou,          ///< EOU policy optimizations (nested inside Tlb)

@@ -11,11 +11,13 @@
  * index-major, core-minor interleave, so results are byte-identical
  * for any thread count.
  *
- * FrontRef is the descriptor crossing the queue: what the front-end
- * already simulated (TLB outcome, private-level latency, the ordered
- * list of dirty lines bound for the first shared level) and what the
- * merge stage still has to do (page-table updates, shared walks,
- * DRAM, statistics).
+ * FrontRef is the descriptor of one reference between System's front
+ * step and its accessImpl: what the front end already simulated (TLB
+ * outcome; in full-front mode also the private-level latency and the
+ * ordered dirty lines bound for the first shared level) for the merge
+ * stage to finish (page-table updates, shared walks, DRAM,
+ * statistics). A serial run hands it over directly; a pipelined run
+ * passes it through the queue.
  */
 
 #ifndef SLIP_SIM_PIPELINE_HH
@@ -44,15 +46,15 @@ enum : std::uint16_t {
     kRefWrite = 1u << 1,
     /** The front-end TLB missed (merge runs the shared miss work). */
     kRefTlbMiss = 1u << 2,
-    /** The TLB insert displaced kRefEvictedPage. */
+    /** The TLB insert displaced evictedPage. */
     kRefTlbEvict = 1u << 3,
-    // Full-front (private-levels-in-front) mode only:
+    /** Level 0 hit (set by whichever executor ran the level-0 step). */
     kRefL1Hit = 1u << 4,
-    /** The demand walk missed every private level; the merge stage
-     * continues it from the first shared level. */
-    kRefDemandShared = 1u << 5,
-    /** The PTE walk missed every private level. */
-    kRefPteShared = 1u << 6,
+    // Full-front (private-levels-in-front) mode only: the worker's walk
+    // missed every private level, so the merge stage resumes it at the
+    // first shared level.
+    kRefDemandShared = 1u << 5,  ///< the demand walk
+    kRefPteShared = 1u << 6,     ///< the PTE walk
 };
 
 /**
@@ -75,9 +77,10 @@ struct FrontRef
      * private demand walk); excludes the L1 base latency, which the
      * merge stage accounts like the serial path. */
     Cycles frontLat = 0;
-    /** Dirty lines bound for the first shared level, in the exact
-     * order the serial recursion would deliver them: [0, nPteWb) from
-     * the PTE-walk fills, [nPteWb, nWb) from the demand fills. */
+    /** Dirty lines a full-front worker's walker captured at the first
+     * shared level, in the exact order the serial recursion would
+     * deliver them: [0, nPteWb) from the PTE-walk fills, [nPteWb, nWb)
+     * from the demand fills. */
     std::array<Addr, kMaxFrontWb> wb{};
     std::uint8_t nPteWb = 0;
     std::uint8_t nWb = 0;

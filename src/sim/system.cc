@@ -161,6 +161,9 @@ System::System(const SystemConfig &cfg)
 
     _epochLvlBase.assign(_levels.size() - 1, obs::EnergyLedger{});
     _epochLvlHitsBase.assign(_levels.size() - 1, 0);
+    _walker = Walker(_levels.size(), numLevels());
+    _metaCtx.policies = _defaultPolicies;
+    _metaCtx.useDefault = true;  // metadata lines always use the Default SLIP
 
     // Private-prefix / shared-suffix boundary for the pipelined run:
     // the first shared level, valid only when every deeper level is
@@ -252,28 +255,54 @@ System::recordRd(const PageCtx &ctx, int slot, int bin)
         .record(static_cast<unsigned>(bin));
 }
 
-Cycles
-System::handleTlbMiss(unsigned core_id, Core &core, Addr page)
+// The front step and the level-0 step run once per reference in every
+// executor. They are forced inline so the serial loop keeps the call
+// depth it had before the executors shared them (GCC otherwise emits
+// both out of line).
+[[gnu::always_inline]] inline void
+System::frontStep(unsigned core_id, const MemAccess &acc,
+                  pipe::FrontRef &fr)
 {
-    Cycles lat = tlbMissShared(core_id, page);
-    Addr evicted = 0;
-    if (core.tlb.insert(page, evicted))
-        tlbEvictShared(core_id, evicted);
-    return lat;
+    Core &core = *_cores[core_id];
+    if (_cfg.contextSwitchInterval &&
+        ++core.stats.accessesSinceSwitch >=
+            _cfg.contextSwitchInterval) {
+        core.tlb.flush();
+        core.stats.accessesSinceSwitch = 0;
+    }
+    fr.page = pageAddr(acc.addr);
+    fr.line = lineAddr(acc.addr);
+    fr.flags = acc.isWrite() ? pipe::kRefPresent | pipe::kRefWrite
+                             : pipe::kRefPresent;
+    if (!core.tlb.lookup(fr.page)) {
+        // Inserting before the miss work runs (tlbMiss) leaves the
+        // TLB in the same state: that work never reads the TLB.
+        fr.flags |= pipe::kRefTlbMiss;
+        Addr evicted = 0;
+        if (core.tlb.insert(fr.page, evicted)) {
+            fr.flags |= pipe::kRefTlbEvict;
+            fr.evictedPage = evicted;
+        }
+    }
 }
 
 Cycles
-System::tlbMissShared(unsigned core_id, Addr page)
+System::tlbMiss(unsigned core_id, const pipe::FrontRef &fr, unsigned lo)
 {
     Cycles lat = 0;
-    const Addr block = rdBlock(page);
+    const Addr block = rdBlock(fr.page);
     Pte &pte = _pageTable.pte(block);
 
     // Page walk: the PTE line is fetched through the hierarchy. This
     // exists in every configuration, so it is demand traffic.
-    if (_cfg.modelPageWalks)
-        lat += metadataAccess(core_id, _pageTable.pteLine(page), false,
-                              AccessClass::Demand);
+    if (_cfg.modelPageWalks) {
+        const Addr pte_line = _pageTable.pteLine(fr.page);
+        lat += lo == 0 ? readWalk(_walker, core_id, 1, pte_line,
+                                  _metaCtx, AccessClass::Demand,
+                                  pipe::kRefPteShared)
+                       : resumeWalk(core_id, lo, fr, pte_line, _metaCtx,
+                                    pipe::kRefPteShared, 0, fr.nPteWb);
+    }
 
     if (_isSlip) {
         const Addr mline = _metadata.metadataLine(block);
@@ -281,8 +310,8 @@ System::tlbMissShared(unsigned core_id, Addr page)
             // Pre-sampling design: fetch the distribution and rerun
             // the EOU on every TLB miss (Section 4.1's traffic
             // problem, the tbl_sampling_traffic ablation).
-            lat += metadataAccess(core_id, mline, false,
-                                  AccessClass::Metadata);
+            lat += readWalk(_walker, core_id, 1, mline, _metaCtx,
+                            AccessClass::Metadata, 0);
             const PageMetadata &md = _metadata.page(block);
             PolicyPair fresh = pte.policies;
             {
@@ -313,8 +342,8 @@ System::tlbMissShared(unsigned core_id, Addr page)
             if (was_sampling) {
                 // Distribution metadata is only fetched for sampling
                 // pages (Section 4.2).
-                lat += metadataAccess(core_id, mline, false,
-                                      AccessClass::Metadata);
+                lat += readWalk(_walker, core_id, 1, mline, _metaCtx,
+                                AccessClass::Metadata, 0);
             }
             if (was_sampling && !now_sampling) {
                 // Transition to stable: recompute the page's SLIPs.
@@ -346,78 +375,31 @@ System::tlbMissShared(unsigned core_id, Addr page)
             pte.sampling = now_sampling;
         }
     }
+
+    if (fr.flags & pipe::kRefTlbEvict) {
+        const Addr eblock = rdBlock(fr.evictedPage);
+        Pte &epte = _pageTable.pte(eblock);
+        if (_isSlip && epte.sampling && !_samplingAlways) {
+            // Write the evicted page's distribution back (off the
+            // critical path of the missing access).
+            metadataWrite(core_id, _metadata.metadataLine(eblock),
+                          AccessClass::Metadata);
+        }
+        if (epte.dirty && _cfg.modelPageWalks) {
+            metadataWrite(core_id, _pageTable.pteLine(fr.evictedPage),
+                          AccessClass::Demand);
+            epte.dirty = false;
+        }
+    }
     return lat;
 }
 
-void
-System::tlbEvictShared(unsigned core_id, Addr evicted)
-{
-    Pte &epte = _pageTable.pte(rdBlock(evicted));
-    if (_isSlip && epte.sampling && !_samplingAlways) {
-        // Write the evicted page's distribution back (off the
-        // critical path of the missing access).
-        metadataAccess(core_id,
-                       _metadata.metadataLine(rdBlock(evicted)),
-                       true, AccessClass::Metadata);
-    }
-    if (epte.dirty && _cfg.modelPageWalks) {
-        metadataAccess(core_id, _pageTable.pteLine(evicted), true,
-                       AccessClass::Demand);
-        epte.dirty = false;
-    }
-}
-
 Cycles
-System::metadataAccess(unsigned core_id, Addr line, bool is_write,
-                       AccessClass cls)
+System::metadataWrite(unsigned core_id, Addr line, AccessClass cls)
 {
-    PageCtx ctx;
-    ctx.policies = _defaultPolicies;
-    ctx.useDefault = true;  // metadata lines always use the Default SLIP
-
-    const unsigned nlevels = static_cast<unsigned>(_levels.size());
-
-    if (!is_write) {
-        // Allocating read path: outer levels -> DRAM with fills on
-        // the way back.
-        Cycles lat = 0;
-        unsigned hit_at = nlevels;  // sentinel: missed everywhere
-        for (unsigned i = 1; i < nlevels; ++i) {
-            Level &lvl = _levels[i];
-            AccessResult r =
-                lvl.ctrl(core_id, line).access(line, false, ctx, cls);
-            if (r.hit) {
-                lat += r.latency;
-                hit_at = i;
-                break;
-            }
-            lat += lvl.unit(core_id, line)
-                       .topology()
-                       .baselineLatency();
-        }
-        if (hit_at == nlevels) {
-            // Distribution-metadata line fetches count as metadata
-            // traffic at the DRAM; PTE walks are ordinary demand.
-            if (cls == AccessClass::Metadata)
-                _dram.metadataAccess(kLineSize * 8);
-            else
-                _dram.access(false);
-            lat += _dram.latency();
-        }
-        const int deepest_missed =
-            hit_at == nlevels ? static_cast<int>(nlevels) - 1
-                              : static_cast<int>(hit_at) - 1;
-        for (int i = deepest_missed; i >= 1; --i) {
-            Level &lvl = _levels[i];
-            lvl.ctrl(core_id, line).fill(line, false, ctx, lvl.evs);
-            drainEvictions(static_cast<unsigned>(i), core_id);
-        }
-        return lat;
-    }
-
     // Non-allocating write-through: update in place where cached,
     // otherwise send the small record straight to DRAM.
-    for (unsigned i = 1; i < nlevels; ++i) {
+    for (unsigned i = 1; i < _levels.size(); ++i) {
         CacheLevel &unit = _levels[i].unit(core_id, line);
         const LookupResult lr = unit.lookup(line, cls);
         if (lr.hit)
@@ -431,16 +413,15 @@ System::metadataAccess(unsigned core_id, Addr line, bool is_write,
 }
 
 Cycles
-System::demandFetch(unsigned core_id, Addr line, const PageCtx &ctx)
+System::readWalk(Walker &w, unsigned core_id, unsigned lo, Addr line,
+                 const PageCtx &ctx, AccessClass cls, std::uint16_t cross)
 {
-    const unsigned nlevels = static_cast<unsigned>(_levels.size());
     Cycles lat = 0;
-    unsigned hit_at = nlevels;
-    for (unsigned i = 1; i < nlevels; ++i) {
+    unsigned hit_at = w.bound;  // sentinel: missed every level
+    for (unsigned i = lo; i < w.bound; ++i) {
         Level &lvl = _levels[i];
         AccessResult r =
-            lvl.ctrl(core_id, line).access(line, false, ctx,
-                                           AccessClass::Demand);
+            lvl.ctrl(core_id, line).access(line, false, ctx, cls);
         if (r.hit) {
             recordRd(ctx, lvl.slot, r.rdBin);
             lat += r.latency;
@@ -450,23 +431,44 @@ System::demandFetch(unsigned core_id, Addr line, const PageCtx &ctx)
         recordRd(ctx, lvl.slot, static_cast<int>(kNumSublevels));
         lat += lvl.unit(core_id, line).topology().baselineLatency();
     }
-    if (hit_at == nlevels)
-        lat += _dram.access(false);
-
-    const int deepest_missed = hit_at == nlevels
-                                   ? static_cast<int>(nlevels) - 1
-                                   : static_cast<int>(hit_at) - 1;
-    for (int i = deepest_missed; i >= 1; --i) {
+    if (hit_at == w.bound) {
+        if (w.bound < _levels.size()) {
+            // A full-front worker's walk: the merge stage continues it
+            // from the bound (resumeWalk).
+            w.capture->flags |= cross;
+        } else {
+            // Distribution-metadata line fetches count as metadata
+            // traffic at the DRAM; PTE walks are ordinary demand.
+            lat += cls == AccessClass::Metadata
+                       ? _dram.metadataAccess(kLineSize * 8)
+                       : _dram.access(false);
+        }
+    }
+    // On a worker, these private fills run before the merge stage's
+    // shared fills — the reverse of the serial order — but neither
+    // side reads the other's state, and the writebacks they send past
+    // the bound are replayed in capture order after the shared fills,
+    // exactly where the serial recursion produces them.
+    for (unsigned i = hit_at; i-- > lo;) {
         Level &lvl = _levels[i];
-        lvl.ctrl(core_id, line).fill(line, false, ctx, lvl.evs);
-        drainEvictions(static_cast<unsigned>(i), core_id);
+        lvl.ctrl(core_id, line).fill(line, false, ctx, w.evs[i]);
+        drainEvictions(w, i, core_id);
     }
     return lat;
 }
 
 void
-System::writebackToLevel(unsigned i, unsigned core_id, Addr line)
+System::writebackToLevel(Walker &w, unsigned i, unsigned core_id,
+                         Addr line)
 {
+    if (i >= w.bound) {
+        // Crossing a worker's bound: capture the line for the merge
+        // stage instead (fullFrontEligible bounds the count).
+        slip_assert(w.capture->nWb < pipe::kMaxFrontWb,
+                    "front-end writeback capture overflow");
+        w.capture->wb[w.capture->nWb++] = line;
+        return;
+    }
     PageCtx ctx = pageCtx(pageOfLine(line));
     ctx.collectRd = false;  // writebacks are not demand reuse
 
@@ -477,16 +479,16 @@ System::writebackToLevel(unsigned i, unsigned core_id, Addr line)
         unit.recordWriteback(lr.setIndex, lr.way);
         return;
     }
-    lvl.ctrl(core_id, line).fill(line, true, ctx, lvl.evs);
-    drainEvictions(i, core_id);
+    lvl.ctrl(core_id, line).fill(line, true, ctx, w.evs[i]);
+    drainEvictions(w, i, core_id);
 }
 
 void
-System::drainEvictions(unsigned i, unsigned core_id)
+System::drainEvictions(Walker &w, unsigned i, unsigned core_id)
 {
     Level &lvl = _levels[i];
     const bool last = i + 1 == _levels.size();
-    for (const Eviction &ev : lvl.evs) {
+    for (const Eviction &ev : w.evs[i]) {
         bool dirty = ev.dirty;
         if (static_cast<int>(i) == _coherentLevel) {
             // The line left the coherence point: its sharers are
@@ -553,72 +555,27 @@ System::drainEvictions(unsigned i, unsigned core_id)
             if (last)
                 _dram.access(true);
             else
-                writebackToLevel(i + 1, core_id, ev.lineAddr);
+                writebackToLevel(w, i + 1, core_id, ev.lineAddr);
         }
     }
-    lvl.evs.clear();
+    w.evs[i].clear();
 }
 
-void
-System::access(unsigned core_id, const MemAccess &acc)
+[[gnu::always_inline]] inline Cycles
+System::level0Step(Walker &w, unsigned core_id, pipe::FrontRef &fr,
+                   const PageCtx &ctx, const LookupResult *peeked)
 {
-    slip_assert(core_id < _cores.size(), "core %u out of range",
-                core_id);
-    accessImpl(core_id, acc, nullptr, nullptr);
-}
-
-void
-System::accessImpl(unsigned core_id, const MemAccess &acc,
-                   const LookupResult *peeked, const pipe::FrontRef *fr)
-{
-    Core &core = *_cores[core_id];
     Level &l0 = _levels[0];
     const unsigned u0 = l0.spec.shared ? 0 : core_id;
     CacheLevel &l1 = *l0.units[u0];
     LevelController &l1ctrl = *l0.ctrls[u0];
-    ++_accessTick;
-
-    Addr page, line;
-    bool is_write;
-    Cycles lat = 0;
-
-    if (fr) {
-        // Pipelined merge stage: the front-end already ran the
-        // context-switch check and the TLB; replay its outcome here
-        // so the shared work happens in serial order.
-        page = fr->page;
-        line = fr->line;
-        is_write = (fr->flags & pipe::kRefWrite) != 0;
-        if (fr->flags & pipe::kRefTlbMiss) {
-            perf::ScopedPhase tlb_scope(perf::Phase::Tlb);
-            lat += tlbMissShared(core_id, page);
-            if (fr->flags & pipe::kRefTlbEvict)
-                tlbEvictShared(core_id, fr->evictedPage);
-        }
-    } else {
-        if (_cfg.contextSwitchInterval &&
-            ++core.stats.accessesSinceSwitch >=
-                _cfg.contextSwitchInterval) {
-            core.tlb.flush();
-            core.stats.accessesSinceSwitch = 0;
-        }
-        page = pageAddr(acc.addr);
-        line = lineAddr(acc.addr);
-        is_write = acc.isWrite();
-        if (!core.tlb.lookup(page)) {
-            perf::ScopedPhase tlb_scope(perf::Phase::Tlb);
-            lat += handleTlbMiss(core_id, core, page);
-        }
-    }
-
-    const PageCtx ctx = pageCtx(page);
+    const bool is_write = (fr.flags & pipe::kRefWrite) != 0;
 
     // The L1-hit traffic each simulated reference stands for (the
     // generators emit the post-L1 stream; see SystemConfig).
     l1.chargeEnergy(EnergyCat::Access, obs::EnergyCause::DemandHit,
                     _l1RefPj);
 
-    perf::ScopedPhase walk_scope(perf::Phase::CacheWalk);
     PageCtx l1ctx;  // the innermost level is SLIP-agnostic
     AccessResult r1;
     if (peeked &&
@@ -626,31 +583,72 @@ System::accessImpl(unsigned core_id, const MemAccess &acc,
         // Stamp-staleness protocol: a consumed batch probe must still
         // match what a fresh tag scan of the set would return.
         SLIP_CHECK_EXPENSIVE(
-            const LookupResult fresh = l1.peek(line);
+            const LookupResult fresh = l1.peek(fr.line);
             SLIP_CHECK_MSG(fresh.hit == peeked->hit &&
                                fresh.setIndex == peeked->setIndex &&
                                (!fresh.hit || fresh.way == peeked->way),
                            "stale batch probe consumed for line %llx",
-                           static_cast<unsigned long long>(line)));
-        r1 = l1ctrl.accessPrepared(line, is_write, l1ctx,
+                           static_cast<unsigned long long>(fr.line)));
+        r1 = l1ctrl.accessPrepared(fr.line, is_write, l1ctx,
                                    AccessClass::Demand, *peeked);
     } else
-        r1 = l1ctrl.access(line, is_write, l1ctx, AccessClass::Demand);
-    lat += _l1Latency;
+        r1 = l1ctrl.access(fr.line, is_write, l1ctx, AccessClass::Demand);
     if (r1.hit) {
-        ++core.stats.l1Hits;
-    } else {
-        lat += demandFetch(core_id, line, ctx);
-        l1ctrl.fill(line, is_write, ctx, l0.evs);
-        touchL1Set(u0, line);
-        drainEvictions(0, core_id);
+        fr.flags |= pipe::kRefL1Hit;
+        return 0;
     }
+    const Cycles lat = readWalk(w, core_id, 1, fr.line, ctx,
+                                AccessClass::Demand,
+                                pipe::kRefDemandShared);
+    l1ctrl.fill(fr.line, is_write, ctx, w.evs[0]);
+    touchL1Set(u0, fr.line);
+    drainEvictions(w, 0, core_id);
+    return lat;
+}
+
+void
+System::access(unsigned core_id, const MemAccess &acc)
+{
+    slip_assert(core_id < _cores.size(), "core %u out of range",
+                core_id);
+    pipe::FrontRef fr;
+    frontStep(core_id, acc, fr);
+    accessImpl(core_id, fr, nullptr, 0);
+}
+
+void
+System::accessImpl(unsigned core_id, pipe::FrontRef &fr,
+                   const LookupResult *peeked, unsigned lo)
+{
+    SLIP_CHECK_MSG(fr.nPteWb <= fr.nWb && fr.nWb <= pipe::kMaxFrontWb,
+                   "merge descriptor writeback counts out of range "
+                   "(%u pte, %u total)", fr.nPteWb, fr.nWb);
+    Core &core = *_cores[core_id];
+    ++_accessTick;
+    Cycles lat = fr.frontLat;
+
+    if (fr.flags & pipe::kRefTlbMiss) {
+        perf::ScopedPhase tlb_scope(perf::Phase::Tlb);
+        lat += tlbMiss(core_id, fr, lo);
+    }
+
+    const PageCtx ctx = pageCtx(fr.page);
+    perf::ScopedPhase walk_scope(perf::Phase::CacheWalk);
+    if (lo == 0)
+        lat += level0Step(_walker, core_id, fr, ctx, peeked);
+    else if (!(fr.flags & pipe::kRefL1Hit))
+        lat += resumeWalk(core_id, lo, fr, fr.line, ctx,
+                          pipe::kRefDemandShared, fr.nPteWb, fr.nWb);
+    lat += _l1Latency;
+    if (fr.flags & pipe::kRefL1Hit)
+        ++core.stats.l1Hits;
 
     // Coherence-lite bookkeeping runs inside accessImpl so the merge
     // stage of a pipelined run replays it in serial reference order
     // for free (byte-identity with --run-threads 1).
     if (_coherentLevel >= 0)
-        coherenceDemand(core_id, line, is_write);
+        coherenceDemand(core_id, fr.line,
+                        (fr.flags & pipe::kRefWrite) != 0);
 
     ++core.stats.accesses;
     core.stats.memStallCycles += static_cast<double>(lat - _l1Latency);
@@ -912,6 +910,7 @@ System::runWindow(const std::vector<AccessSource *> &sources,
         peeked.assign(ncores, std::vector<LookupResult>(kChunk));
     }
     const bool l0_shared = _levels[0].spec.shared;
+    pipe::FrontRef fr;
 
     std::uint64_t remaining = accesses_per_core;
     while (remaining > 0) {
@@ -933,12 +932,15 @@ System::runWindow(const std::vector<AccessSource *> &sources,
                     lines[c].data(), got[c], peeked[c].data());
             }
         }
-        for (std::size_t i = 0; i < n; ++i)
-            for (unsigned c = 0; c < ncores; ++c)
-                if (i < got[c])
-                    accessImpl(c, buf[c][i],
-                               _batchProbe ? &peeked[c][i] : nullptr,
-                               nullptr);
+        for (std::size_t i = 0; i < n; ++i) {
+            for (unsigned c = 0; c < ncores; ++c) {
+                if (i < got[c]) {
+                    frontStep(c, buf[c][i], fr);
+                    accessImpl(c, fr,
+                               _batchProbe ? &peeked[c][i] : nullptr, 0);
+                }
+            }
+        }
         remaining -= n;
     }
 }
@@ -950,8 +952,9 @@ System::fullFrontEligible() const
     // byte-identical to serial when nothing on a private level's path
     // can observe or mutate shared state out of order:
     //  - non-SLIP policies only: no page-table/metadata/sampling
-    //    state on the private walk, no reuse-distance records, and
-    //    PTEs never go dirty (no evicted-PTE writebacks to reorder);
+    //    state on the private walk, no reuse-distance records, and no
+    //    merge-side walks through the private levels (distribution
+    //    fetches and writebacks; PTEs never go dirty);
     //  - no epoch accounting or sink (rollEpoch reads every level
     //    mid-run) and no tracing (private-level emits would fire on
     //    front threads, outside the run's trace binding);
@@ -977,7 +980,8 @@ System::fullFrontEligible() const
     // Coherence is subsumed by the inclusive check above (a coherent
     // level must resolve inclusive), but keep the direct test so the
     // TLB-front guarantee survives if that coupling ever loosens:
-    // coherenceDemand lives in accessImpl, which full-front skips.
+    // coherenceDemand's write-invalidations run on the merge stage and
+    // would race the workers on other cores' private levels.
     if (_coherentLevel >= 0)
         return false;
     if (2 * _firstShared + 2 > pipe::kMaxFrontWb)
@@ -986,310 +990,35 @@ System::fullFrontEligible() const
 }
 
 void
-System::frontAccessTlb(unsigned core_id, const MemAccess &acc,
-                       pipe::FrontRef &fr)
-{
-    Core &core = *_cores[core_id];
-    if (_cfg.contextSwitchInterval &&
-        ++core.stats.accessesSinceSwitch >=
-            _cfg.contextSwitchInterval) {
-        core.tlb.flush();
-        core.stats.accessesSinceSwitch = 0;
-    }
-    fr.page = pageAddr(acc.addr);
-    fr.line = lineAddr(acc.addr);
-    if (acc.isWrite())
-        fr.flags |= pipe::kRefWrite;
-    if (!core.tlb.lookup(fr.page)) {
-        // The serial path inserts after the miss handling, but no TLB
-        // operation happens in between, so inserting here leaves the
-        // TLB in the identical state; the merge stage replays the
-        // displacement from the descriptor.
-        fr.flags |= pipe::kRefTlbMiss;
-        Addr evicted = 0;
-        if (core.tlb.insert(fr.page, evicted)) {
-            fr.flags |= pipe::kRefTlbEvict;
-            fr.evictedPage = evicted;
-        }
-    }
-}
-
-Cycles
-System::frontWalk(unsigned core_id, Addr line, const PageCtx &ctx,
-                  FrontScratch &fs, pipe::FrontRef &fr, bool demand,
-                  bool &shared_miss)
-{
-    // The private-level prefix of demandFetch / the read path of
-    // metadataAccess. Fills for the missed private levels happen
-    // before the merge stage runs the shared fills — the reverse of
-    // the serial loop — but neither side reads the other's state, and
-    // shared-bound writebacks spawned here are replayed in capture
-    // order after the shared fills, exactly where the serial
-    // recursion would have produced them.
-    const unsigned first_shared = _firstShared;
-    Cycles lat = 0;
-    unsigned hit_at = first_shared;
-    for (unsigned i = 1; i < first_shared; ++i) {
-        Level &lvl = _levels[i];
-        AccessResult r = lvl.ctrl(core_id, line)
-                             .access(line, false, ctx,
-                                     AccessClass::Demand);
-        if (r.hit) {
-            if (demand)
-                recordRd(ctx, lvl.slot, r.rdBin);
-            lat += r.latency;
-            hit_at = i;
-            break;
-        }
-        if (demand)
-            recordRd(ctx, lvl.slot, static_cast<int>(kNumSublevels));
-        lat += lvl.unit(core_id, line).topology().baselineLatency();
-    }
-    shared_miss = hit_at == first_shared;
-    for (int i = static_cast<int>(hit_at) - 1; i >= 1; --i) {
-        Level &lvl = _levels[i];
-        lvl.ctrl(core_id, line).fill(line, false, ctx, fs.evs[i]);
-        frontDrain(static_cast<unsigned>(i), core_id, fs, fr);
-    }
-    return lat;
-}
-
-void
-System::frontWritebackToLevel(unsigned i, unsigned core_id, Addr line,
-                              FrontScratch &fs, pipe::FrontRef &fr)
-{
-    if (i >= _firstShared) {
-        // Crossing the private/shared boundary: capture the line for
-        // the merge stage instead (fullFrontEligible bounds the count).
-        slip_assert(fr.nWb < pipe::kMaxFrontWb,
-                    "front-end writeback capture overflow");
-        fr.wb[fr.nWb++] = line;
-        return;
-    }
-    PageCtx ctx = pageCtx(pageOfLine(line));
-    ctx.collectRd = false;  // writebacks are not demand reuse
-
-    Level &lvl = _levels[i];
-    CacheLevel &unit = lvl.unit(core_id, line);
-    const LookupResult lr = unit.lookup(line, AccessClass::Demand);
-    if (lr.hit) {
-        unit.recordWriteback(lr.setIndex, lr.way);
-        return;
-    }
-    lvl.ctrl(core_id, line).fill(line, true, ctx, fs.evs[i]);
-    frontDrain(i, core_id, fs, fr);
-}
-
-void
-System::frontDrain(unsigned i, unsigned core_id, FrontScratch &fs,
-                   pipe::FrontRef &fr)
-{
-    // drainEvictions for a private level on a front-end thread:
-    // never the hierarchy's last level (a shared level follows), and
-    // every upper level is private, so the serial back-invalidation
-    // reduces to this core's units.
-    Level &lvl = _levels[i];
-    for (const Eviction &ev : fs.evs[i]) {
-        bool dirty = ev.dirty;
-        if (lvl.spec.inclusive) {
-            for (unsigned j = 0; j < i; ++j) {
-                bool d = false;
-                _levels[j].units[core_id]->invalidate(ev.lineAddr, &d);
-                dirty = dirty || d;
-                if (j == 0)
-                    touchL1Set(core_id, ev.lineAddr);
-            }
-            SLIP_CHECK_EXPENSIVE(
-                for (unsigned j = 0; j < i; ++j)
-                    SLIP_CHECK(!_levels[j]
-                                    .units[core_id]
-                                    ->peek(ev.lineAddr)
-                                    .hit));
-        }
-        if (dirty)
-            frontWritebackToLevel(i + 1, core_id, ev.lineAddr, fs, fr);
-    }
-    fs.evs[i].clear();
-}
-
-void
-System::frontAccessFull(unsigned core_id, const MemAccess &acc,
-                        pipe::FrontRef &fr, FrontScratch &fs,
+System::frontAccessFull(Walker &w, unsigned core_id, pipe::FrontRef &fr,
                         const LookupResult *peeked)
 {
-    Core &core = *_cores[core_id];
-    Level &l0 = _levels[0];
-    CacheLevel &l1 = *l0.units[core_id];
-    LevelController &l1ctrl = *l0.ctrls[core_id];
-
-    if (_cfg.contextSwitchInterval &&
-        ++core.stats.accessesSinceSwitch >=
-            _cfg.contextSwitchInterval) {
-        core.tlb.flush();
-        core.stats.accessesSinceSwitch = 0;
-    }
-
-    fr.page = pageAddr(acc.addr);
-    fr.line = lineAddr(acc.addr);
-    if (acc.isWrite())
-        fr.flags |= pipe::kRefWrite;
-
+    // The worker's walker stops at _firstShared; what crosses it is
+    // captured in fr for accessImpl to resume in serial order: PTE
+    // walk, PTE writebacks, demand walk, demand writebacks.
+    w.capture = &fr;
     Cycles lat = 0;
-    if (!core.tlb.lookup(fr.page)) {
-        fr.flags |= pipe::kRefTlbMiss;
-        if (_cfg.modelPageWalks) {
-            // Private prefix of the PTE walk (metadataAccess read
-            // path, demand class); the merge stage finishes it from
-            // the first shared level when every private level missed.
-            PageCtx mctx;
-            mctx.policies = _defaultPolicies;
-            mctx.useDefault = true;
-            bool shared_miss = false;
-            lat += frontWalk(core_id, _pageTable.pteLine(fr.page),
-                             mctx, fs, fr, false, shared_miss);
-            if (shared_miss)
-                fr.flags |= pipe::kRefPteShared;
-        }
-        fr.nPteWb = fr.nWb;
-        Addr evicted = 0;
-        if (core.tlb.insert(fr.page, evicted)) {
-            fr.flags |= pipe::kRefTlbEvict;
-            fr.evictedPage = evicted;
-        }
-    }
-
-    const PageCtx ctx = pageCtx(fr.page);
-    l1.chargeEnergy(EnergyCat::Access, obs::EnergyCause::DemandHit,
-                    _l1RefPj);
-    PageCtx l1ctx;  // the innermost level is SLIP-agnostic
-    AccessResult r1;
-    if (peeked && _l1SetStamp[core_id][peeked->setIndex] !=
-                      _l1ProbeEpoch[core_id]) {
-        SLIP_CHECK_EXPENSIVE(
-            const LookupResult fresh = l1.peek(fr.line);
-            SLIP_CHECK_MSG(fresh.hit == peeked->hit &&
-                               fresh.setIndex == peeked->setIndex &&
-                               (!fresh.hit || fresh.way == peeked->way),
-                           "stale batch probe consumed for line %llx",
-                           static_cast<unsigned long long>(fr.line)));
-        r1 = l1ctrl.accessPrepared(fr.line, acc.isWrite(), l1ctx,
-                                   AccessClass::Demand, *peeked);
-    } else
-        r1 = l1ctrl.access(fr.line, acc.isWrite(), l1ctx,
-                           AccessClass::Demand);
-    if (r1.hit) {
-        fr.flags |= pipe::kRefL1Hit;
-    } else {
-        bool shared_miss = false;
-        lat += frontWalk(core_id, fr.line, ctx, fs, fr, true,
-                         shared_miss);
-        if (shared_miss)
-            fr.flags |= pipe::kRefDemandShared;
-        l1ctrl.fill(fr.line, acc.isWrite(), ctx, fs.evs[0]);
-        touchL1Set(core_id, fr.line);
-        frontDrain(0, core_id, fs, fr);
-    }
+    if ((fr.flags & pipe::kRefTlbMiss) && _cfg.modelPageWalks)
+        lat += readWalk(w, core_id, 1, _pageTable.pteLine(fr.page),
+                        _metaCtx, AccessClass::Demand,
+                        pipe::kRefPteShared);
+    fr.nPteWb = fr.nWb;
+    lat += level0Step(w, core_id, fr, pageCtx(fr.page), peeked);
     fr.frontLat = lat;
 }
 
 Cycles
-System::sharedWalkFill(unsigned core_id, Addr line, const PageCtx &ctx,
-                       AccessClass cls)
+System::resumeWalk(unsigned core_id, unsigned lo, const pipe::FrontRef &fr,
+                   Addr line, const PageCtx &ctx, std::uint16_t cross,
+                   unsigned begin, unsigned end)
 {
-    // Shared-level suffix of demandFetch / metadataAccess's read
-    // path. recordRd is skipped: full-front mode implies non-SLIP,
-    // where it is a no-op. The full-miss DRAM charge matches both
-    // callers — demandFetch's access(false) returns the same latency
-    // metadataAccess adds explicitly.
-    const unsigned nlevels = static_cast<unsigned>(_levels.size());
     Cycles lat = 0;
-    unsigned hit_at = nlevels;
-    for (unsigned i = _firstShared; i < nlevels; ++i) {
-        Level &lvl = _levels[i];
-        AccessResult r =
-            lvl.ctrl(core_id, line).access(line, false, ctx, cls);
-        if (r.hit) {
-            lat += r.latency;
-            hit_at = i;
-            break;
-        }
-        lat += lvl.unit(core_id, line).topology().baselineLatency();
-    }
-    if (hit_at == nlevels) {
-        if (cls == AccessClass::Metadata)
-            _dram.metadataAccess(kLineSize * 8);
-        else
-            _dram.access(false);
-        lat += _dram.latency();
-    }
-    const int deepest_missed =
-        hit_at == nlevels ? static_cast<int>(nlevels) - 1
-                          : static_cast<int>(hit_at) - 1;
-    for (int i = deepest_missed; i >= static_cast<int>(_firstShared);
-         --i) {
-        Level &lvl = _levels[i];
-        lvl.ctrl(core_id, line).fill(line, false, ctx, lvl.evs);
-        drainEvictions(static_cast<unsigned>(i), core_id);
-    }
+    if (fr.flags & cross)
+        lat = readWalk(_walker, core_id, lo, line, ctx,
+                       AccessClass::Demand, cross);
+    for (unsigned k = begin; k < end; ++k)
+        writebackToLevel(_walker, lo, core_id, fr.wb[k]);
     return lat;
-}
-
-void
-System::mergeRef(unsigned core_id, const pipe::FrontRef &fr,
-                 bool full_front)
-{
-    if (!full_front) {
-        accessImpl(core_id, MemAccess{}, nullptr, &fr);
-        return;
-    }
-
-    // Full-front merge: the front-end already simulated the TLB and
-    // the private levels; run the shared-level portion in the exact
-    // order the serial recursion produces it — PTE shared walk, PTE
-    // writebacks, demand shared walk, demand writebacks.
-    SLIP_CHECK_MSG(fr.nPteWb <= fr.nWb && fr.nWb <= pipe::kMaxFrontWb,
-                   "merge descriptor writeback counts out of range "
-                   "(%u pte, %u total)", fr.nPteWb, fr.nWb);
-    Core &core = *_cores[core_id];
-    ++_accessTick;
-    Cycles lat = fr.frontLat;
-
-    if (fr.flags & pipe::kRefTlbMiss) {
-        perf::ScopedPhase tlb_scope(perf::Phase::Tlb);
-        // The serial path touches the PTE of every missing page (the
-        // stats dump counts pages touched) and of any TLB-evicted
-        // page; with non-SLIP policies nothing else survives — PTEs
-        // never go dirty and no distribution metadata exists.
-        _pageTable.pte(rdBlock(fr.page));
-        if (fr.flags & pipe::kRefPteShared) {
-            PageCtx mctx;
-            mctx.policies = _defaultPolicies;
-            mctx.useDefault = true;
-            lat += sharedWalkFill(core_id, _pageTable.pteLine(fr.page),
-                                  mctx, AccessClass::Demand);
-        }
-        for (unsigned k = 0; k < fr.nPteWb; ++k)
-            writebackToLevel(_firstShared, core_id, fr.wb[k]);
-        if (fr.flags & pipe::kRefTlbEvict)
-            _pageTable.pte(rdBlock(fr.evictedPage));
-    }
-
-    perf::ScopedPhase walk_scope(perf::Phase::CacheWalk);
-    lat += _l1Latency;
-    if (fr.flags & pipe::kRefL1Hit) {
-        ++core.stats.l1Hits;
-    } else {
-        if (fr.flags & pipe::kRefDemandShared) {
-            const PageCtx ctx = pageCtx(fr.page);
-            lat += sharedWalkFill(core_id, fr.line, ctx,
-                                  AccessClass::Demand);
-        }
-        for (unsigned k = fr.nPteWb; k < fr.nWb; ++k)
-            writebackToLevel(_firstShared, core_id, fr.wb[k]);
-    }
-
-    ++core.stats.accesses;
-    core.stats.memStallCycles += static_cast<double>(lat - _l1Latency);
 }
 
 void
@@ -1321,7 +1050,7 @@ System::runWindowPipelined(const std::vector<AccessSource *> &sources,
     for (unsigned w = 0; w < nworkers; ++w) {
         workers.emplace_back([&, w] {
             perf::ScopedPhase front_scope(perf::Phase::FrontEnd);
-            FrontScratch fs(_levels.size());
+            Walker walker(_levels.size(), _firstShared);
             std::vector<MemAccess> buf(kChunk);
             std::vector<Addr> lines(kChunk);
             std::vector<LookupResult> peeked(kChunk);
@@ -1350,13 +1079,11 @@ System::runWindowPipelined(const std::vector<AccessSource *> &sources,
                     for (std::size_t i = 0; i < n; ++i) {
                         pipe::FrontRef fr;
                         if (i < got) {
-                            fr.flags |= pipe::kRefPresent;
+                            frontStep(c, buf[i], fr);
                             if (full_front)
-                                frontAccessFull(c, buf[i], fr, fs,
+                                frontAccessFull(walker, c, fr,
                                                 probe ? &peeked[i]
                                                       : nullptr);
-                            else
-                                frontAccessTlb(c, buf[i], fr);
                         }
                         // Absent slots still cross the queue so the
                         // merge stays aligned with the serial chunk
@@ -1370,9 +1097,11 @@ System::runWindowPipelined(const std::vector<AccessSource *> &sources,
     }
 
     // Merge stage on the calling thread: pop index-major, core-minor
-    // — the serial interleave — and finish each reference.
+    // — the serial interleave — and finish each reference from where
+    // its worker stopped.
     {
         perf::ScopedPhase shared_scope(perf::Phase::SharedStage);
+        const unsigned lo = full_front ? _firstShared : 0;
         pipe::FrontRef fr;
         std::uint64_t remaining = accesses_per_core;
         while (remaining > 0) {
@@ -1382,7 +1111,7 @@ System::runWindowPipelined(const std::vector<AccessSource *> &sources,
                 for (unsigned c = 0; c < ncores; ++c) {
                     queues[c]->pop(fr);
                     if (fr.flags & pipe::kRefPresent)
-                        mergeRef(c, fr, full_front);
+                        accessImpl(c, fr, nullptr, lo);
                 }
             }
             remaining -= n;

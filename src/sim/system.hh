@@ -367,8 +367,8 @@ class System
     };
 
     /** One hierarchy level: its resolved spec, one CacheLevel per
-     * unit (numCores for private levels, 1 for shared), the policy
-     * controllers (parallel to units), and drain scratch. */
+     * unit (numCores for private levels, 1 for shared), and the
+     * policy controllers (parallel to units). */
     struct Level
     {
         ResolvedLevel spec;
@@ -376,10 +376,6 @@ class System
         bool abp = false;  ///< policy's EOU pool includes all-bypass
         std::vector<std::unique_ptr<CacheLevel>> units;
         std::vector<std::unique_ptr<LevelController>> ctrls;
-        /** Scratch eviction list reused across accesses so the hot
-         * path performs no allocation; always drained (and cleared)
-         * before this level can fill again, so it never nests. */
-        std::vector<Eviction> evs;
 
         /** Unit serving core @p c for @p line: the core's unit on
          * private levels, the line's address-interleaved slice on
@@ -409,40 +405,79 @@ class System
     };
 
     /**
-     * Per-worker scratch for full-front pipelined runs: private
-     * levels' eviction lists. The serial path reuses Level::evs, but
-     * a front-end thread draining its core's private levels must not
-     * share that scratch with the merge stage draining the shared
-     * levels concurrently.
+     * One thread's view of the hierarchy walk. Walks stop at level
+     * @c bound: the calling thread's walker reaches DRAM (bound ==
+     * numLevels()), a full-front worker's stops at _firstShared and
+     * records what crosses the bound in @c capture for the merge
+     * stage to resume (DESIGN.md §5b).
      */
-    struct FrontScratch
+    struct Walker
     {
-        std::vector<std::vector<Eviction>> evs;  ///< per level
+        /** Per-level eviction scratch reused across accesses so the
+         * hot path performs no allocation; always drained (and
+         * cleared) before its level can fill again, so it never
+         * nests. */
+        std::vector<std::vector<Eviction>> evs;
+        unsigned bound;
+        /** Receives walks and writebacks that reach @c bound (only
+         * dereferenced when bound < numLevels()). */
+        pipe::FrontRef *capture = nullptr;
 
-        explicit FrontScratch(std::size_t nlevels) : evs(nlevels) {}
+        explicit Walker(std::size_t nlevels = 0, unsigned b = 0)
+            : evs(nlevels), bound(b) {}
     };
-
-    /** TLB miss: walk, state transition, metadata fetch, EOU. */
-    Cycles handleTlbMiss(unsigned core_id, Core &core, Addr page);
-
-    /** handleTlbMiss up to (excluding) the TLB insert: PTE creation,
-     * page walk, sampling transition, metadata fetch, EOU. */
-    Cycles tlbMissShared(unsigned core_id, Addr page);
-
-    /** handleTlbMiss after the TLB insert displaced @p evicted:
-     * distribution/PTE writebacks for the evicted page. */
-    void tlbEvictShared(unsigned core_id, Addr evicted);
 
     /** One measurement window of run(): chunked pull + interleave. */
     void runWindow(const std::vector<AccessSource *> &sources,
                    std::uint64_t accesses_per_core);
 
-    /** The access() body, with the context-switch check and the TLB
-     * already handled when @p fr is set (pipelined merge stage), and
-     * an optional pre-computed level-0 probe from peekBatch. */
-    void accessImpl(unsigned core_id, const MemAccess &acc,
-                    const LookupResult *peeked,
-                    const pipe::FrontRef *fr);
+    /** Front step of every executor: context switch, TLB lookup, and
+     * on a miss the TLB insert, recorded in @p fr. */
+    void frontStep(unsigned core_id, const MemAccess &acc,
+                   pipe::FrontRef &fr);
+
+    /** Everything after the front step, on the calling thread, from
+     * level 0 (@p lo == 0) or — when a full-front worker already
+     * walked the private levels — from level @p lo; @p peeked is an
+     * optional pre-computed level-0 probe from peekBatch. */
+    void accessImpl(unsigned core_id, pipe::FrontRef &fr,
+                    const LookupResult *peeked, unsigned lo);
+
+    /** TLB-miss work after the insert: page walk (resumed from
+     * @p lo as in accessImpl), sampling transition, metadata fetch,
+     * EOU, evicted-page writebacks. */
+    Cycles tlbMiss(unsigned core_id, const pipe::FrontRef &fr,
+                   unsigned lo);
+
+    /** Level-0 access (with the batch-probe staleness check); on a
+     * miss the demand walk below it, the fill, and the drain. */
+    Cycles level0Step(Walker &w, unsigned core_id, pipe::FrontRef &fr,
+                      const PageCtx &ctx, const LookupResult *peeked);
+
+    /**
+     * Allocating read of @p line over levels [lo, w.bound) with fills
+     * back up to @p lo: demand fetches, PTE walks and metadata reads.
+     * Past the last level it reaches DRAM; missing every level below
+     * a smaller bound sets @p cross in w.capture->flags instead.
+     * @return service latency
+     */
+    Cycles readWalk(Walker &w, unsigned core_id, unsigned lo, Addr line,
+                    const PageCtx &ctx, AccessClass cls,
+                    std::uint16_t cross);
+
+    /** Route a dirty line evicted from level @p i - 1 into level
+     * @p i (non-allocating update when present, else a fill), or
+     * capture it when @p i is at the walker's bound. */
+    void writebackToLevel(Walker &w, unsigned i, unsigned core_id,
+                          Addr line);
+
+    /** Process level @p i's eviction list: back-invalidate upper
+     * levels when inclusive, forward dirty lines downward. */
+    void drainEvictions(Walker &w, unsigned i, unsigned core_id);
+
+    /** Non-allocating metadata write (distribution and dirty-PTE
+     * writebacks): update in place where cached, else DRAM. */
+    Cycles metadataWrite(unsigned core_id, Addr line, AccessClass cls);
 
     // ------------------------------------------------------------------
     // Pipelined run (--run-threads > 1; DESIGN.md §Intra-run
@@ -460,39 +495,18 @@ class System
                             std::uint64_t accesses_per_core,
                             unsigned nworkers, bool full_front);
 
-    /** Front-end of one reference: context switch + TLB only. */
-    void frontAccessTlb(unsigned core_id, const MemAccess &acc,
-                        pipe::FrontRef &fr);
-
-    /** Front-end of one reference incl. the private-level walks,
-     * with an optional pre-computed level-0 probe. */
-    void frontAccessFull(unsigned core_id, const MemAccess &acc,
-                         pipe::FrontRef &fr, FrontScratch &fs,
+    /** A full-front worker's share of one reference after the front
+     * step: the private part of the PTE walk and the level-0 step. */
+    void frontAccessFull(Walker &w, unsigned core_id, pipe::FrontRef &fr,
                          const LookupResult *peeked);
 
-    /** Merge-stage completion of one front-end reference. */
-    void mergeRef(unsigned core_id, const pipe::FrontRef &fr,
-                  bool full_front);
-
-    /** Private-level portion of demandFetch / the PTE walk; on an
-     * all-private miss the caller forwards to sharedWalkFill. */
-    Cycles frontWalk(unsigned core_id, Addr line, const PageCtx &ctx,
-                     FrontScratch &fs, pipe::FrontRef &fr,
-                     bool demand, bool &shared_miss);
-
-    /** writebackToLevel over private levels, capturing shared-bound
-     * lines into @p fr instead of crossing the boundary. */
-    void frontWritebackToLevel(unsigned i, unsigned core_id, Addr line,
-                               FrontScratch &fs, pipe::FrontRef &fr);
-
-    /** drainEvictions for private level @p i on a front-end thread. */
-    void frontDrain(unsigned i, unsigned core_id, FrontScratch &fs,
-                    pipe::FrontRef &fr);
-
-    /** Shared-level suffix of demandFetch/metadataAccess: walk levels
-     * [firstShared, N) down to DRAM with fills on the way back. */
-    Cycles sharedWalkFill(unsigned core_id, Addr line,
-                          const PageCtx &ctx, AccessClass cls);
+    /** Merge-stage end of a walk a full-front worker started: the
+     * walk from @p lo when the worker's crossed (@p cross in
+     * fr.flags), then its captured writebacks fr.wb[begin, end). */
+    Cycles resumeWalk(unsigned core_id, unsigned lo,
+                      const pipe::FrontRef &fr, Addr line,
+                      const PageCtx &ctx, std::uint16_t cross,
+                      unsigned begin, unsigned end);
 
     /** Directory bookkeeping tail of a demand access: record @p
      * core_id as a sharer; on writes, first invalidate every other
@@ -514,29 +528,6 @@ class System
 
     /** Record one reuse-distance observation for a page at a slot. */
     void recordRd(const PageCtx &ctx, int slot, int bin);
-
-    /**
-     * Demand read walking the outer levels (1..N-1) down to DRAM
-     * with fills on the way back.
-     * @return service latency below level 0
-     */
-    Cycles demandFetch(unsigned core_id, Addr line, const PageCtx &ctx);
-
-    /** Route a dirty line evicted from level @p i - 1 into level
-     * @p i (non-allocating update when present, else a fill). */
-    void writebackToLevel(unsigned i, unsigned core_id, Addr line);
-
-    /** Process level @p i's eviction list: back-invalidate upper
-     * levels when inclusive, forward dirty lines downward. */
-    void drainEvictions(unsigned i, unsigned core_id);
-
-    /**
-     * Metadata line read/write through the hierarchy (distribution
-     * fetches/writebacks, PTE walks). Non-allocating writes.
-     * @return service latency
-     */
-    Cycles metadataAccess(unsigned core_id, Addr line, bool is_write,
-                          AccessClass cls);
 
     /** Mark level-0 unit @p u's set holding @p line as mutated since
      * the current chunk's batch probe (batch-probe staleness). */
@@ -589,13 +580,19 @@ class System
     std::uint64_t _cohDirtyWritebacks = 0;
 
     std::vector<Level> _levels;  ///< [0] = innermost
+    Walker _walker;  ///< the calling thread's, bound numLevels()
     std::vector<unsigned> _slipLevels;  ///< level index per RD slot
     std::vector<std::unique_ptr<Core>> _cores;
-    DramModel _dram;
+    /** The merge stage writes the DRAM counters on every DRAM access
+     * while full-front workers read _cores and _defaultPolicies on
+     * every reference: own cache line, or the two false-share. */
+    alignas(64) DramModel _dram;
 
     /** SLIP codes of unseen pages and metadata lines: the Default
      * policy at both SLIP levels, computed once. */
     const PolicyPair _defaultPolicies;
+    /** Context of metadata and PTE line walks: the Default SLIP. */
+    PageCtx _metaCtx;
     PageTable _pageTable;
     MetadataStore _metadata;
     SamplingController _sampling;

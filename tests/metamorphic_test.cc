@@ -199,21 +199,24 @@ TEST(MetamorphicJobsTest, ResultsIdenticalForAnyJobsValue)
     }
 }
 
-/** Full stats dump plus epoch-series JSON of one run of @p cfg at
- *  @p run_threads. The epoch series rides along so the byte-identity
- *  check also covers the --epoch-interval output that run reports
- *  embed — the sharded pipeline must roll epochs at the same merged
- *  reference ticks the serial loop does. */
+/** Full stats dump of one run of @p cfg at @p run_threads, plus the
+ *  epoch-series JSON when @p epochs is set. The epoch series rides
+ *  along so the byte-identity check also covers the --epoch-interval
+ *  output that run reports embed — the sharded pipeline must roll
+ *  epochs at the same merged reference ticks the serial loop does.
+ *  Epoch accounting forces the TLB-front pipeline mode, so full-front
+ *  runs need @p epochs off. */
 std::string
 dumpAtThreads(SystemConfig cfg, unsigned run_threads,
-              const std::vector<std::string> &benchmarks)
+              const std::vector<std::string> &benchmarks, bool epochs)
 {
     cfg.runThreads = run_threads;
-    cfg.epochIntervalRefs = 5000;
+    cfg.epochIntervalRefs = epochs ? 5000 : 0;
     System sys(cfg);
     obs::EpochSeries series;
     series.intervalRefs = cfg.epochIntervalRefs;
-    sys.setEpochSink(&series);
+    if (epochs)
+        sys.setEpochSink(&series);
     std::vector<std::unique_ptr<AccessSource>> owned;
     std::vector<AccessSource *> sources;
     for (unsigned c = 0; c < cfg.numCores; ++c) {
@@ -223,11 +226,13 @@ dumpAtThreads(SystemConfig cfg, unsigned run_threads,
         sources.push_back(owned.back().get());
     }
     sys.run(sources, kRefs, kWarmup);
-    sys.setEpochSink(nullptr);
-    EXPECT_GT(series.records.size(), 1u) << "vacuous epoch check";
     std::ostringstream os;
     dumpStats(sys, os);
-    os << obs::epochSeriesJson(series).dump() << '\n';
+    if (epochs) {
+        sys.setEpochSink(nullptr);
+        EXPECT_GT(series.records.size(), 1u) << "vacuous epoch check";
+        os << obs::epochSeriesJson(series).dump() << '\n';
+    }
     return os.str();
 }
 
@@ -255,8 +260,9 @@ privateLevel(const char *name, std::size_t size_kb, unsigned ways,
 /**
  * One simulation must be byte-identical for any intra-run thread
  * count, across both pipeline modes (TLB-only front end for SLIP and
- * inclusive hierarchies; full private-walk front end for baseline
- * ones) and 2-/3-/4-level shapes.
+ * inclusive hierarchies, and whenever epochs are on; full
+ * private-walk front end for baseline ones with epochs off) and
+ * 2-/3-/4-level shapes.
  */
 TEST(MetamorphicRunThreadsTest, DumpIdenticalForAnyThreadCount)
 {
@@ -271,6 +277,9 @@ TEST(MetamorphicRunThreadsTest, DumpIdenticalForAnyThreadCount)
         const char *what;
         SystemConfig cfg;
         std::vector<std::string> benchmarks;
+        /** Eligible for the full-front mode, which needs epochs off:
+         * run an extra epochs-off pass. */
+        bool fullFront = false;
     };
     std::vector<Case> cases;
 
@@ -281,11 +290,13 @@ TEST(MetamorphicRunThreadsTest, DumpIdenticalForAnyThreadCount)
         cases.push_back(c);
     }
     {
-        // 3-level baseline, four cores: the full-front pipeline mode
-        // with private L1+L2 walks on the worker threads.
+        // 3-level baseline, four cores: with epochs off, the
+        // full-front pipeline mode with private L1+L2 walks on the
+        // worker threads; with epochs on, TLB-front.
         Case c{"baseline_3level_4cores", SystemConfig{}, {"soplex"}};
         c.cfg.policy = PolicyKind::Baseline;
         c.cfg.numCores = 4;
+        c.fullFront = true;
         cases.push_back(c);
     }
     {
@@ -299,11 +310,15 @@ TEST(MetamorphicRunThreadsTest, DumpIdenticalForAnyThreadCount)
         cases.push_back(c);
     }
     {
-        // 2-level baseline: the shortest full-front hierarchy.
+        // 2-level baseline: with epochs off, the shortest full-front
+        // hierarchy — the first shared level is level 1, so the
+        // workers' walks below L1 are empty and every L1 miss and
+        // PTE walk resumes in the merge stage.
         Case c{"baseline_2level_2cores", SystemConfig{},
                {"mcf", "lbm"}};
         c.cfg.policy = PolicyKind::Baseline;
         c.cfg.numCores = 2;
+        c.fullFront = true;
         c.cfg.hierarchy.levels.push_back(
             privateLevel("l1", 32, 8, "l1"));
         LevelSpec llc;
@@ -333,11 +348,17 @@ TEST(MetamorphicRunThreadsTest, DumpIdenticalForAnyThreadCount)
 
     for (const Case &c : cases) {
         SCOPED_TRACE(c.what);
-        const std::string serial = dumpAtThreads(c.cfg, 1, c.benchmarks);
-        for (unsigned threads : {2u, 4u}) {
-            EXPECT_EQ(serial, dumpAtThreads(c.cfg, threads,
-                                            c.benchmarks))
-                << c.what << " diverged at run_threads=" << threads;
+        for (bool epochs : {true, false}) {
+            if (!epochs && !c.fullFront)
+                continue;
+            const std::string serial =
+                dumpAtThreads(c.cfg, 1, c.benchmarks, epochs);
+            for (unsigned threads : {2u, 4u}) {
+                EXPECT_EQ(serial, dumpAtThreads(c.cfg, threads,
+                                                c.benchmarks, epochs))
+                    << c.what << " diverged at run_threads=" << threads
+                    << (epochs ? " (epochs on)" : " (epochs off)");
+            }
         }
     }
     obs::setMetricsEnabled(metrics_before);

@@ -5,8 +5,10 @@
 #   ubsan  -DSLIP_SANITIZE=undefined    full ctest suite (fatal UB)
 #   tsan   -DSLIP_SANITIZE=thread       concurrency gate: the parallel
 #          sweep engine tests, the coherence-lite tests, a multi-job
-#          slip-bench sweep, and sharded --run-threads 4 scenarios
-#          (private-only and shared coherent sliced LLC)
+#          slip-bench sweep, sharded --run-threads 4 scenarios
+#          (private-only and shared coherent sliced LLC), and the
+#          run-threads metamorphic cases (both pipeline modes over
+#          2-, 3- and 4-level shapes)
 #
 # The full-suite runs exclude obs_test's wall-clock overhead budget
 # (ObsTest.DisabledPathUnderTwoPercentOfReferenceAccessTime): it
@@ -51,7 +53,7 @@ exec > >(tee -a "$log") 2>&1
 
 case "$mode" in
   asan|ubsan)
-    cmake --build "$build_dir" -j | tail -5
+    cmake --build "$build_dir" -j "$(nproc)" | tail -5
     echo "== full ctest suite ($mode) =="
     ( cd "$build_dir" && \
       GTEST_FILTER='-ObsTest.DisabledPathUnderTwoPercentOfReferenceAccessTime' \
@@ -59,9 +61,10 @@ case "$mode" in
     ;;
 
   tsan)
-    cmake --build "$build_dir" -j \
+    cmake --build "$build_dir" -j "$(nproc)" \
           --target sweep_runner_test slip_policy_test sweep_test \
-                   coherence_test slip-bench slip-sim | tail -5
+                   coherence_test metamorphic_test slip-bench slip-sim \
+          | tail -5
 
     echo "== sweep_runner_test (TSan) =="
     "$build_dir/tests/sweep_runner_test"
@@ -71,6 +74,10 @@ case "$mode" in
 
     echo "== coherence_test (TSan, merge-side invalidation replay) =="
     "$build_dir/tests/coherence_test"
+
+    echo "== MetamorphicRunThreadsTest (TSan, both pipeline modes) =="
+    "$build_dir/tests/metamorphic_test" \
+        --gtest_filter='MetamorphicRunThreadsTest.*'
 
     echo "== slip-bench --jobs 4 (TSan, tiny sweep) =="
     SLIP_BENCH_REFS=20000 SLIP_BENCH_WARMUP=20000 \
