@@ -59,19 +59,16 @@ usage(const char *argv0)
         "(= SLIP_RUN_THREADS)\n"
         "  --cache DIR       result cache directory "
         "(= SLIP_BENCH_CACHE)\n"
-        "  --timing-json F   write sweep timing record to F\n"
         "  --profile F       enable the per-phase simulator counters\n"
         "                    and write their JSON dump to F\n"
-        "  --metrics-json F  enable the metrics registry, epoch energy\n"
-        "                    ledger, and cache stats; write them to F\n"
         "  --trace-out F     enable the decision tracer and write a\n"
         "                    Chrome/Perfetto trace-event JSON to F\n"
         "  --epoch-interval N  epoch length in references for the\n"
-        "                    --metrics-json energy time series "
+        "                    --report-dir energy time series "
         "(default 50000)\n"
         "  --report-dir D    write one slip-report-v1 JSON per distinct\n"
-        "                    run into directory D (implies the\n"
-        "                    --metrics-json collection switches)\n"
+        "                    run into directory D (hierarchies of at\n"
+        "                    most 3 levels; deeper: slip-sim --report)\n"
         "  --status-ndjson F stream one NDJSON status event per line to\n"
         "                    F (\"-\" = stdout): plan/start/finish/done\n"
         "  --progress        in-place progress ticker with completion\n"
@@ -95,46 +92,6 @@ cacheStatsJson(const ResultCache &cache)
     return v;
 }
 
-json::Value
-sweepStatsJson(const SweepRunner &runner, double wall_seconds)
-{
-    const SweepRunner::Stats st = runner.stats();
-    json::Value v = json::Value::object();
-    v["jobs"] = runner.jobs();
-    // Both parallelism axes: sweep workers × pipeline threads per run.
-    v["run_threads"] = SweepOptions().runThreads;
-    v["runs_executed"] = std::uint64_t(st.executed);
-    v["cache_hits"] = std::uint64_t(st.cacheHits);
-    v["duplicate_requests"] = std::uint64_t(st.memoHits);
-    v["wall_seconds"] = wall_seconds;
-    v["run_seconds_sum"] = st.simSeconds;
-    return v;
-}
-
-void
-writeTimingJson(const std::string &path, const SweepRunner &runner,
-                double wall_seconds)
-{
-    json::Value root = sweepStatsJson(runner, wall_seconds);
-    const auto records = runner.records();
-    root["runs_total"] = std::uint64_t(records.size());
-    root["result_cache"] = cacheStatsJson(runner.cache());
-    json::Value &runs = root["runs"];
-    runs = json::Value::array();
-    for (const auto &r : records) {
-        json::Value rec = json::Value::object();
-        rec["label"] = r.label;
-        rec["seconds"] = r.seconds;
-        rec["cached"] = r.cached;
-        runs.push(std::move(rec));
-    }
-    std::ofstream os(path);
-    root.write(os);
-    os << '\n';
-    if (!os.good())
-        warn("could not write timing record to %s", path.c_str());
-}
-
 /** One level's stats as the report energy entry (obs/report.hh). */
 obs::ReportLevelEnergy
 reportLevel(const char *name, const CacheLevelStats &s)
@@ -145,64 +102,6 @@ reportLevel(const char *name, const CacheLevelStats &s)
         lvl.segmentsPj[i] = s.energyPj[i];
     lvl.causesPj = s.causePj;
     return lvl;
-}
-
-/**
- * The --metrics-json artifact: registry snapshot, perf counters, sweep
- * and result-cache statistics, the per-run energy-attribution ledger
- * (per level, by wire segment and by cause), and the per-epoch series.
- * The epoch collection is drained once by the orchestrator and shared
- * with the report writer, so both artifacts see every series.
- */
-void
-writeMetricsJson(
-    const std::string &path, const SweepRunner &runner,
-    const std::vector<RunSpec> &specs,
-    const std::vector<std::shared_future<RunResult>> &futures,
-    const std::vector<obs::EpochSeries> &epoch_series,
-    double wall_seconds)
-{
-    json::Value root = json::Value::object();
-    root["metrics"] = obs::metricsJson();
-    root["perf"] = perf::toJson(perf::snapshot());
-    root["sweep"] = sweepStatsJson(runner, wall_seconds);
-    root["result_cache"] = cacheStatsJson(runner.cache());
-
-    // One ledger entry per distinct run (futures of duplicate specs
-    // alias the same result).
-    json::Value &ledger = root["energy_ledger"];
-    ledger = json::Value::object();
-    std::map<std::string, const RunResult *> unique;
-    std::vector<RunResult> results(futures.size());
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-        results[i] = futures[i].get();
-        unique.emplace(specs[i].key(), &results[i]);
-    }
-    for (const auto &kv : unique) {
-        const RunResult &r = *kv.second;
-        json::Value run = json::Value::object();
-        run["l2"] = obs::levelEnergyJson(reportLevel("l2", r.l2));
-        run["l3"] = obs::levelEnergyJson(reportLevel("l3", r.l3));
-        json::Value dram = json::Value::object();
-        dram["demand_pj"] = r.dramDemandPj;
-        dram["metadata_pj"] = r.dramMetadataPj;
-        dram["total_pj"] = r.dramEnergyPj;
-        run["dram"] = std::move(dram);
-        run["l1_pj"] = r.l1EnergyPj;
-        run["full_system_pj"] = r.fullSystemPj;
-        ledger[kv.first] = std::move(run);
-    }
-
-    json::Value &epochs = root["epochs"];
-    epochs = json::Value::array();
-    for (const auto &series : epoch_series)
-        epochs.push(obs::epochSeriesJson(series));
-
-    std::ofstream os(path);
-    root.write(os);
-    os << '\n';
-    if (!os.good())
-        warn("could not write metrics to %s", path.c_str());
 }
 
 /** Content hash(es) of a spec's `trace:` workloads, "" when none. */
@@ -297,7 +196,12 @@ writeReports(const std::string &dir, const SweepRunner &runner,
         prov.refs = spec.opts.refs;
         prov.warmup = spec.opts.warmup;
 
-        report.levels.push_back(reportLevel("l2", r.l2));
+        // RunResult keeps level 1 as l2 and the last level as l3
+        // (sweep/run_result.cc): on a 2-level hierarchy both are the
+        // one outer level, listed once. Deeper hierarchies never get
+        // here (benchOrchestratorMain rejects them).
+        if (spec.opts.hierarchy.levels.size() != 2)
+            report.levels.push_back(reportLevel("l2", r.l2));
         report.levels.push_back(reportLevel("l3", r.l3));
         report.corePj = r.instructions * spec.opts.tech.corePjPerInstr;
         report.l1Pj = r.l1EnergyPj;
@@ -448,9 +352,7 @@ benchOrchestratorMain(int argc, char **argv)
     std::string only;
     std::vector<std::string> scenario_paths;
     std::string emit_scenarios_dir;
-    std::string timing_json;
     std::string profile_json;
-    std::string metrics_json;
     std::string trace_out;
     std::string report_dir;
     std::string status_ndjson;
@@ -498,12 +400,8 @@ benchOrchestratorMain(int argc, char **argv)
             ::setenv("SLIP_RUN_THREADS", value(), 1);
         } else if (arg == "--cache") {
             ::setenv("SLIP_BENCH_CACHE", value(), 1);
-        } else if (arg == "--timing-json") {
-            timing_json = value();
         } else if (arg == "--profile") {
             profile_json = value();
-        } else if (arg == "--metrics-json") {
-            metrics_json = value();
         } else if (arg == "--trace-out") {
             trace_out = value();
         } else if (arg == "--epoch-interval") {
@@ -541,6 +439,13 @@ benchOrchestratorMain(int argc, char **argv)
         const std::string err = loadScenarioFile(path, s);
         if (!err.empty())
             fatal("%s", err.c_str());
+        // Sweep results keep only level 1 and the last level, so a
+        // report of a deeper hierarchy would miss its middle levels.
+        if (!report_dir.empty() && s.hierarchy.levels.size() > 3)
+            fatal("scenario '%s': --report-dir reports cover at most 3 "
+                  "cache levels, not %zu; use slip-sim --scenario with "
+                  "--report for this hierarchy",
+                  s.name.c_str(), s.hierarchy.levels.size());
         scenario_runs.emplace_back(s, scenarioRunSpec(s));
     }
 
@@ -594,9 +499,8 @@ benchOrchestratorMain(int argc, char **argv)
         perf::reset();
         perf::setEnabled(true);
     }
-    // --report-dir needs the same collection switches as
-    // --metrics-json: registry on, epoch series per run.
-    if (!metrics_json.empty() || !report_dir.empty()) {
+    // --report-dir needs the registry on and an epoch series per run.
+    if (!report_dir.empty()) {
         obs::resetMetrics();
         obs::setMetricsEnabled(true);
         obs::RunObservation watch;
@@ -713,23 +617,13 @@ benchOrchestratorMain(int argc, char **argv)
     }
     if (ss)
         ss->emitDone(st, wall);
-    if (!timing_json.empty())
-        writeTimingJson(timing_json, runner, wall);
 
-    // Drain the epoch collection exactly once; both the metrics
-    // artifact and the per-run reports consume the same series.
-    std::vector<obs::EpochSeries> epoch_series;
-    if (!metrics_json.empty() || !report_dir.empty())
-        epoch_series = obs::takeEpochSeries();
-    if (!metrics_json.empty())
-        writeMetricsJson(metrics_json, runner, specs, futures,
-                         epoch_series, wall);
     if (!report_dir.empty()) {
         std::map<std::string, std::string> scenario_names;
         for (const auto &sr : scenario_runs)
             scenario_names.emplace(sr.second.key(), sr.first.name);
         writeReports(report_dir, runner, specs, futures, scenario_names,
-                     epoch_series);
+                     obs::takeEpochSeries());
     }
     if (!trace_out.empty())
         writeTraceJson(trace_out);

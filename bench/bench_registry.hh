@@ -56,7 +56,7 @@ struct BenchFigureRegistrar
 
 /**
  * Shared driver: parse flags (--jobs/--only/--list/--refs/--warmup/
- * --cache/--timing-json), compute the closure of required runs over
+ * --cache/--report-dir/...), compute the closure of required runs over
  * the selected figures, execute it in parallel with live progress,
  * then render each figure serially.
  */

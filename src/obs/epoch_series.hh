@@ -11,8 +11,9 @@
  * perturbed end-of-run aggregate.
  *
  * Sinks are per-run objects; sweep workers fill one per RunSpec and
- * submit it to the process-wide collection that `slip-bench
- * --metrics-json` serializes. Collection is configured globally (see
+ * submit it to the process-wide collection whose series `slip-bench
+ * --report-dir` writes into each run's report (`slip-sim --report`
+ * fills one sink directly). Collection is configured globally (see
  * RunObservation) because RunSpec cache keys must not depend on
  * observation settings — observing a run never changes its outcome.
  */

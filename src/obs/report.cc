@@ -5,9 +5,15 @@
 namespace slip {
 namespace obs {
 
+namespace {
+
+/** Wire-segment names of the EnergyCat bookkeeping categories. */
 const char *const kEnergySegmentNames[4] = {"access", "movement",
                                             "metadata", "other"};
 
+/** {"segments": {...}, "causes": {...}, "total_pj": N} of one level.
+ * total_pj is the segment sum, which the accounting invariant pins to
+ * the cause-bin sum and the golden energyPj total. */
 json::Value
 levelEnergyJson(const ReportLevelEnergy &lvl)
 {
@@ -23,8 +29,6 @@ levelEnergyJson(const ReportLevelEnergy &lvl)
     v["total_pj"] = total;
     return v;
 }
-
-namespace {
 
 json::Value
 provenanceJson(const ReportProvenance &p)

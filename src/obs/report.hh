@@ -46,9 +46,6 @@ namespace obs {
 /** Schema tag every report carries (bump on layout changes). */
 constexpr const char *kReportSchema = "slip-report-v1";
 
-/** Wire-segment names of the EnergyCat bookkeeping categories. */
-extern const char *const kEnergySegmentNames[4];
-
 /** One cache level's energy: by wire segment and by cause. */
 struct ReportLevelEnergy
 {
@@ -109,11 +106,6 @@ struct RunReportData
     json::Value perf;         ///< perf::toJson(); Null when absent
     json::Value resultCache;  ///< cache counters; Null when absent
 };
-
-/** {"segments": {...}, "causes": {...}, "total_pj": N} of one level.
- * total_pj is the segment sum, which the accounting invariant pins to
- * the cause-bin sum and the golden energyPj total. */
-json::Value levelEnergyJson(const ReportLevelEnergy &lvl);
 
 /** The full report document for @p r (schema kReportSchema). */
 json::Value reportJson(const RunReportData &r);

@@ -49,7 +49,7 @@ usage()
         "  --scenario FILE     load a declarative JSON scenario\n"
         "                      (hierarchy, policy, workloads; see\n"
         "                      scenarios/README.md). --refs/--warmup/\n"
-        "                      --seed/--stats* still apply on top\n"
+        "                      --seed/--stats still apply on top\n"
         "  --loop-trace        loop the trace when exhausted\n"
         "  --policy P          baseline | nurapid | lru-pea | slip |\n"
         "                      slip+abp           (default baseline)\n"
@@ -71,15 +71,10 @@ usage()
         "  --no-insertion-term strict Equations 1-4 EOU coefficients\n"
         "  --seed N            simulation seed\n"
         "  --stats FILE        write the stats dump to FILE\n"
-        "  --stats-json FILE   write the stats as JSON to FILE\n"
-        "                      (enables the metrics registry, so the\n"
-        "                      per-cause energy ledger is populated)\n"
         "  --report FILE       write a slip-report-v1 run report to\n"
         "                      FILE (provenance + energy ledger +\n"
         "                      metrics + epoch series; diffable with\n"
         "                      slip-report)\n"
-        "  --metrics-json FILE write the metrics-registry snapshot\n"
-        "                      (counters/gauges/histograms) to FILE\n"
         "  --trace-out FILE    enable the decision tracer and write a\n"
         "                      Chrome/Perfetto trace-event JSON\n"
         "  --epoch-interval N  epoch length in references for the\n"
@@ -97,8 +92,7 @@ int
 main(int argc, char **argv)
 {
     std::string benchn, trace_path, scenario_path, stats_path,
-        stats_json_path, dump_path, report_path, metrics_json_path,
-        trace_out_path;
+        dump_path, report_path, trace_out_path;
     bool loop_trace = false;
     bool refs_set = false, warmup_set = false, seed_set = false;
     unsigned run_threads = 0;  // 0 = not given on the command line
@@ -198,12 +192,8 @@ main(int argc, char **argv)
             seed_set = true;
         } else if (arg == "--stats") {
             stats_path = value();
-        } else if (arg == "--stats-json") {
-            stats_json_path = value();
         } else if (arg == "--report") {
             report_path = value();
-        } else if (arg == "--metrics-json") {
-            metrics_json_path = value();
         } else if (arg == "--trace-out") {
             trace_out_path = value();
         } else if (arg == "--epoch-interval") {
@@ -245,11 +235,10 @@ main(int argc, char **argv)
     if (run_threads)
         cfg.runThreads = run_threads;
 
-    // The JSON dump carries the per-cause energy ledger, which is only
-    // accumulated while the metrics registry is live; the run report
-    // and the metrics snapshot need the same.
-    if (!stats_json_path.empty() || !report_path.empty() ||
-        !metrics_json_path.empty())
+    // The report carries the per-cause energy ledger and the metrics
+    // snapshot, which are only accumulated while the metrics registry
+    // is live.
+    if (!report_path.empty())
         obs::setMetricsEnabled(true);
     if (!trace_out_path.empty()) {
         obs::resetTrace();
@@ -355,17 +344,8 @@ main(int argc, char **argv)
             fatal("cannot write stats to '%s'", stats_path.c_str());
         dumpStats(sys, os);
         inform("stats written to %s", stats_path.c_str());
-    } else if (stats_json_path.empty()) {
+    } else {
         dumpStats(sys, std::cout);
-    }
-    if (!stats_json_path.empty()) {
-        std::ofstream os(stats_json_path);
-        if (!os)
-            fatal("cannot write stats to '%s'",
-                  stats_json_path.c_str());
-        statsToJson(sys).write(os);
-        os << '\n';
-        inform("JSON stats written to %s", stats_json_path.c_str());
     }
 
     if (!report_path.empty()) {
@@ -455,15 +435,6 @@ main(int argc, char **argv)
         obs::reportJson(report).write(os);
         os << '\n';
         inform("run report written to %s", report_path.c_str());
-    }
-    if (!metrics_json_path.empty()) {
-        std::ofstream os(metrics_json_path);
-        if (!os)
-            fatal("cannot write metrics to '%s'",
-                  metrics_json_path.c_str());
-        obs::metricsJson().write(os);
-        os << '\n';
-        inform("metrics written to %s", metrics_json_path.c_str());
     }
     if (!trace_out_path.empty()) {
         std::ofstream os(trace_out_path);

@@ -1,8 +1,7 @@
 #include "sim/stats_dump.hh"
 
 #include <iomanip>
-
-#include "obs/epoch_series.hh"
+#include <string>
 
 namespace slip {
 
@@ -13,8 +12,7 @@ const char *kEnergyCatNames[] = {"access", "movement", "metadata",
 const char *kInsertClassNames[] = {"abp", "partial_bypass", "default",
                                    "other"};
 
-} // namespace
-
+/** One cache level's stats under a component prefix. */
 void
 dumpLevelStats(const std::string &prefix, const CacheLevelStats &s,
                std::ostream &os)
@@ -53,6 +51,8 @@ dumpLevelStats(const std::string &prefix, const CacheLevelStats &s,
     line("energy_pj.total", s.totalEnergyPj());
     line("port_busy_cycles", s.portBusyCycles);
 }
+
+} // namespace
 
 void
 dumpStats(System &sys, std::ostream &os)
@@ -129,130 +129,6 @@ dumpStats(System &sys, std::ostream &os)
     os << "pagetable.pages " << sys.pageTable().pagesTouched() << "\n";
     os << "metadata.pages " << sys.metadataStore().pagesTracked()
        << "\n";
-}
-
-json::Value
-levelStatsJson(const CacheLevelStats &s)
-{
-    json::Value v = json::Value::object();
-    v["demand_accesses"] = s.demandAccesses;
-    v["demand_hits"] = s.demandHits;
-    v["demand_misses"] = s.demandMisses();
-    if (s.demandAccesses)
-        v["hit_rate"] = double(s.demandHits) / double(s.demandAccesses);
-    v["metadata_accesses"] = s.metadataAccesses;
-    v["metadata_hits"] = s.metadataHits;
-    v["insertions"] = s.insertions;
-    v["bypasses"] = s.bypasses;
-    json::Value &subs = v["sublevels"];
-    subs = json::Value::array();
-    for (unsigned i = 0; i < kNumSublevels; ++i) {
-        json::Value sl = json::Value::object();
-        sl["hits"] = s.sublevelHits[i];
-        sl["insertions"] = s.sublevelInsertions[i];
-        subs.push(std::move(sl));
-    }
-    json::Value &ic = v["insert_class"];
-    ic = json::Value::object();
-    for (unsigned i = 0; i < s.insertClass.size(); ++i)
-        ic[kInsertClassNames[i]] = s.insertClass[i];
-    v["movements"] = s.movements;
-    v["writebacks"] = s.writebacks;
-    v["invalidations"] = s.invalidations;
-    json::Value &rh = v["reuse_histogram"];
-    rh = json::Value::array();
-    for (unsigned i = 0; i < 4; ++i)
-        rh.push(s.reuseHistogram[i]);
-    json::Value &e = v["energy_pj"];
-    e = json::Value::object();
-    for (unsigned i = 0; i < s.energyPj.size(); ++i)
-        e[kEnergyCatNames[i]] = s.energyPj[i];
-    e["total"] = s.totalEnergyPj();
-    v["energy_cause_pj"] = obs::ledgerJson(s.causePj);
-    v["port_busy_cycles"] = double(s.portBusyCycles);
-    return v;
-}
-
-json::Value
-statsToJson(System &sys)
-{
-    json::Value root = json::Value::object();
-
-    json::Value &system = root["system"];
-    system = json::Value::object();
-    system["policy"] = policyName(sys.config().policy);
-    system["cores"] = sys.numCores();
-    system["instructions"] = sys.instructions();
-    system["cycles"] = sys.totalCycles();
-    if (sys.totalCycles() > 0)
-        system["ipc"] = sys.instructions() / sys.totalCycles();
-    system["full_system_energy_pj"] = sys.fullSystemEnergyPj();
-
-    json::Value &cores = root["cores"];
-    cores = json::Value::array();
-    for (unsigned c = 0; c < sys.numCores(); ++c) {
-        const CoreStats &cs = sys.coreStats(c);
-        json::Value core = json::Value::object();
-        core["accesses"] = cs.accesses;
-        core["l1_hits"] = cs.l1Hits;
-        core["mem_stall_cycles"] = double(cs.memStallCycles);
-        json::Value tlb = json::Value::object();
-        tlb["accesses"] = sys.tlb(c).accesses();
-        tlb["misses"] = sys.tlb(c).misses();
-        tlb["flushes"] = sys.tlb(c).flushes();
-        core["tlb"] = std::move(tlb);
-        for (unsigned i = 0; i < sys.numLevels(); ++i)
-            if (!sys.levelShared(i))
-                core[sys.levelName(i)] =
-                    levelStatsJson(sys.level(i, c).stats());
-        cores.push(std::move(core));
-    }
-    for (unsigned i = 0; i < sys.numLevels(); ++i) {
-        if (!sys.levelShared(i))
-            continue;
-        json::Value lv = levelStatsJson(sys.combinedLevelStats(i));
-        if (sys.levelSlices(i) > 1) {
-            json::Value &slices = lv["slices"];
-            slices = json::Value::array();
-            for (unsigned u = 0; u < sys.levelUnits(i); ++u)
-                slices.push(
-                    levelStatsJson(sys.levelUnit(i, u).stats()));
-        }
-        root[sys.levelName(i)] = std::move(lv);
-    }
-    if (sys.coherenceEnabled()) {
-        json::Value &coh = root["coherence"];
-        coh = json::Value::object();
-        coh["write_probes"] = sys.coherenceWriteProbes();
-        coh["invalidations"] = sys.coherenceInvalidations();
-        coh["dirty_writebacks"] = sys.coherenceDirtyWritebacks();
-    }
-
-    json::Value &dram = root["dram"];
-    dram = json::Value::object();
-    dram["reads"] = sys.dram().reads();
-    dram["writes"] = sys.dram().writes();
-    dram["metadata_accesses"] = sys.dram().metadataAccesses();
-    dram["metadata_bits"] = sys.dram().metadataBits();
-    dram["traffic_lines"] = sys.dram().totalTrafficLines();
-    dram["energy_pj"] = sys.dram().energyPj();
-    dram["demand_energy_pj"] = sys.dram().demandEnergyPj();
-    dram["metadata_energy_pj"] = sys.dram().metadataEnergyPj();
-
-    json::Value &eou = root["eou"];
-    eou = json::Value::object();
-    eou["operations"] = sys.eouOperations();
-    for (unsigned s = 0; s < sys.numSlipSlots(); ++s) {
-        json::Value &counts =
-            eou[sys.levelName(sys.slipLevel(s)) + "_choices"];
-        counts = json::Value::array();
-        for (std::uint64_t n : sys.eou(s)->choiceCounts())
-            counts.push(n);
-    }
-
-    root["pagetable"]["pages"] = sys.pageTable().pagesTouched();
-    root["metadata"]["pages"] = sys.metadataStore().pagesTracked();
-    return root;
 }
 
 } // namespace slip

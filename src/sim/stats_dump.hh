@@ -1,37 +1,23 @@
 /**
  * @file
- * Human/machine-readable statistics dump for a System, in the style of
- * gem5's stats.txt: one "component.stat value" line per statistic.
- * Used by the slip-sim CLI driver and handy for diffing runs.
+ * Text statistics dump for a System, in the style of gem5's
+ * stats.txt: one "component.stat value" line per statistic. Used by
+ * the slip-sim CLI driver and the golden fixtures, and handy for
+ * diffing runs. The machine-readable per-run artifact is the run
+ * report (obs/report.hh).
  */
 
 #ifndef SLIP_SIM_STATS_DUMP_HH
 #define SLIP_SIM_STATS_DUMP_HH
 
 #include <ostream>
-#include <string>
 
 #include "sim/system.hh"
-#include "util/json.hh"
 
 namespace slip {
 
 /** Write every statistic of @p sys to @p os. */
 void dumpStats(System &sys, std::ostream &os);
-
-/** One cache level's stats under a component prefix. */
-void dumpLevelStats(const std::string &prefix, const CacheLevelStats &s,
-                    std::ostream &os);
-
-/**
- * The same statistics as dumpStats, as a JSON tree (slip-sim
- * --stats-json). Adds the per-cause energy ledger (energy_cause_pj)
- * when metrics were enabled; the text dump stays byte-stable.
- */
-json::Value statsToJson(System &sys);
-
-/** One cache level's stats as a JSON object. */
-json::Value levelStatsJson(const CacheLevelStats &s);
 
 } // namespace slip
 

@@ -845,7 +845,7 @@ System::run(const std::vector<AccessSource *> &sources,
         rollEpoch();
 
     // Slice hot-spotting: publish each NUCA slice's access count so a
-    // --metrics-json snapshot shows the interleave balance
+    // run report's metrics snapshot shows the interleave balance
     // ("llc.s0.accesses", "llc.s1.accesses", ...).
     if (obs::metricsEnabled()) {
         for (const Level &lvl : _levels) {

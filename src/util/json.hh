@@ -2,10 +2,11 @@
  * @file
  * The one JSON (de)serializer of the tree.
  *
- * Every JSON artifact the simulator emits — `slip-bench --profile`,
- * `--timing-json`, `--metrics-json`, trace files, `slip-sim
- * --stats-json` — is built as a json::Value tree and written through
- * Value::write, so formatting rules live in exactly one place:
+ * Every JSON artifact the simulator emits — run reports (`slip-sim
+ * --report`, `slip-bench --report-dir`), `slip-bench --profile`,
+ * trace files, the NDJSON status stream — is built as a json::Value
+ * tree and written through Value::write (or writeCompact), so
+ * formatting rules live in exactly one place:
  *
  *  - object keys are emitted in sorted order (std::map), making every
  *    artifact byte-deterministic and diffable across runs and refs;
@@ -15,8 +16,9 @@
  *    left to the caller.
  *
  * A small recursive-descent parser (Value::parse) covers the subset we
- * emit; tools/trace_report and the schema tests use it to read our own
- * artifacts back. It is not a general-purpose validating parser.
+ * emit; tools/trace_report, tools/slip_report and the schema tests use
+ * it to read our own artifacts back. It is not a general-purpose
+ * validating parser.
  */
 
 #ifndef SLIP_UTIL_JSON_HH

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for src/util: bit ops, PRNG, fixed point, saturating
  * counters, stats, the table formatter, and the JSON serializer every
- * artifact (--profile, --timing-json, --metrics-json, traces) shares.
+ * artifact (run reports, --profile, traces) shares.
  */
 
 #include <gtest/gtest.h>

@@ -8,10 +8,12 @@
  * Commands:
  *
  *   validate FILE...
- *       Schema check: required sections and keys present, per-level
- *       wire-segment energies sum to the level total, the cause-binned
- *       ledger sums to the same total (the accounting invariant), and
- *       the level totals + l1 + dram sum to full_system_pj.
+ *       Schema check: required sections and keys present, every
+ *       energy and result value a number, at least one level in
+ *       energy.levels, only known ledger causes, per-level wire-segment
+ *       energies sum to the level total, the cause-binned ledger sums
+ *       to the same total (the accounting invariant), and the level
+ *       totals + core + l1 + dram sum to full_system_pj.
  *
  *   summarize FILE...
  *       One table row per report: key, policy, workload, full-system
@@ -44,6 +46,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -126,26 +129,40 @@ isKnownCause(const std::string &name)
     return false;
 }
 
-void
+/** @p v as a number. Anything else is an error, named by @p where,
+ *  and reads as 0. */
+double
+number(const Value &v, const std::string &where)
+{
+    if (!v.isNumber())
+        complain(where + ": expected a number");
+    return v.asDouble();
+}
+
+/** Check one level's sums; returns its total_pj (0 when missing). */
+double
 validateLevel(const std::string &name, const Value &lvl)
 {
+    const std::string where = "energy.levels." + name;
     const Value *segments = needKey(lvl, "segments");
     const Value *causes = needKey(lvl, "causes");
     const Value *total = needKey(lvl, "total_pj");
     if (!segments || !causes || !total)
-        return;
+        return 0.0;
     double seg_sum = 0;
     for (const auto &kv : segments->members())
-        seg_sum += kv.second.asDouble();
+        seg_sum += number(kv.second, where + ".segments." + kv.first);
     double cause_sum = 0;
     for (const auto &kv : causes->members()) {
         if (!isKnownCause(kv.first))
             complain("level " + name + ": unknown ledger cause '" +
                      kv.first + "'");
-        if (!(kv.second.asDouble() >= 0.0))
+        const double pj =
+            number(kv.second, where + ".causes." + kv.first);
+        if (!(pj >= 0.0))
             complain("level " + name + ": negative ledger cause '" +
                      kv.first + "'");
-        cause_sum += kv.second.asDouble();
+        cause_sum += pj;
     }
     // Coherence-lite traffic (directory probes + write-invalidates)
     // is charged on the metadata wire segment, so the coherence bin
@@ -159,7 +176,7 @@ validateLevel(const std::string &name, const Value &lvl)
                      " exceeds the metadata segment " +
                      slip::json::formatDouble(m));
     }
-    const double t = total->asDouble();
+    const double t = number(*total, where + ".total_pj");
     if (!closeEnough(seg_sum, t))
         complain("level " + name + ": segment sum " +
                  slip::json::formatDouble(seg_sum) +
@@ -169,6 +186,7 @@ validateLevel(const std::string &name, const Value &lvl)
                  slip::json::formatDouble(cause_sum) +
                  " != total_pj " + slip::json::formatDouble(t) +
                  " (accounting invariant)");
+    return t;
 }
 
 void
@@ -195,11 +213,12 @@ validateReport(const std::string &path, const Value &r)
         const Value *full = needKey(*energy, "full_system_pj");
         double levels_sum = 0;
         if (levels) {
-            for (const auto &kv : levels->members()) {
-                validateLevel(kv.first, kv.second);
-                if (const Value *t = kv.second.find("total_pj"))
-                    levels_sum += t->asDouble();
-            }
+            // Every hierarchy has a level past the L1; a report that
+            // lists none has dropped them.
+            if (levels->members().empty())
+                complain("energy.levels: expected at least one level");
+            for (const auto &kv : levels->members())
+                levels_sum += validateLevel(kv.first, kv.second);
         }
         double dram_total = 0;
         if (dram) {
@@ -207,18 +226,21 @@ validateReport(const std::string &path, const Value &r)
             const Value *meta = needKey(*dram, "metadata_pj");
             const Value *total = needKey(*dram, "total_pj");
             if (demand && meta && total) {
-                dram_total = total->asDouble();
-                if (!closeEnough(demand->asDouble() + meta->asDouble(),
-                                 dram_total))
+                const double d = number(*demand, "energy.dram.demand_pj");
+                const double m = number(*meta, "energy.dram.metadata_pj");
+                dram_total = number(*total, "energy.dram.total_pj");
+                if (!closeEnough(d + m, dram_total))
                     complain("dram demand_pj + metadata_pj != total_pj");
             }
         }
-        if (core && l1 && full &&
-            !closeEnough(levels_sum + core->asDouble() +
-                             l1->asDouble() + dram_total,
-                         full->asDouble()))
-            complain("core_pj + l1_pj + levels + dram.total_pj != "
-                     "full_system_pj");
+        if (core && l1 && full) {
+            const double c = number(*core, "energy.core_pj");
+            const double l = number(*l1, "energy.l1_pj");
+            const double f = number(*full, "energy.full_system_pj");
+            if (!closeEnough(levels_sum + c + l + dram_total, f))
+                complain("core_pj + l1_pj + levels + dram.total_pj != "
+                         "full_system_pj");
+        }
     }
 
     if (const Value *result = needKey(r, "result")) {
@@ -226,7 +248,8 @@ validateReport(const std::string &path, const Value &r)
              {"cycles", "instructions", "dram_reads", "dram_writes",
               "dram_metadata_accesses", "dram_traffic_lines",
               "tlb_misses", "eou_ops"})
-            needKey(*result, k);
+            if (const Value *v = needKey(*result, k))
+                number(*v, std::string("result.") + k);
     }
 }
 
@@ -386,22 +409,35 @@ diffReports(const std::string &pa, const Value &a, const std::string &pb,
 }
 
 int
+diffUsage()
+{
+    std::cerr << "usage: slip-report diff A.json B.json "
+                 "[--timing-tolerance SECONDS]\n";
+    return 2;
+}
+
+int
 cmdDiff(std::vector<std::string> args)
 {
     double timing_tolerance = -1;
     for (std::size_t i = 0; i < args.size();) {
         if (args[i] == "--timing-tolerance" && i + 1 < args.size()) {
-            timing_tolerance = std::stod(args[i + 1]);
+            const char *text = args[i + 1].c_str();
+            char *end = nullptr;
+            timing_tolerance = std::strtod(text, &end);
+            if (end == text || *end != '\0' || !(timing_tolerance >= 0)) {
+                std::cerr << "slip-report: --timing-tolerance needs a "
+                             "non-negative number of seconds, got '"
+                          << text << "'\n";
+                return diffUsage();
+            }
             args.erase(args.begin() + long(i), args.begin() + long(i) + 2);
         } else {
             ++i;
         }
     }
-    if (args.size() != 2) {
-        std::cerr << "usage: slip-report diff A.json B.json "
-                     "[--timing-tolerance SECONDS]\n";
-        return 2;
-    }
+    if (args.size() != 2)
+        return diffUsage();
     Value a, b;
     if (!loadJson(args[0], a) || !loadJson(args[1], b))
         return 2;

@@ -1,21 +1,15 @@
 /**
  * @file
- * trace_report: offline validator/summarizer for the simulator's JSON
- * artifacts.
+ * trace_report: offline validator/summarizer for the decision tracer's
+ * Chrome trace-event JSON (`--trace-out`, the format Perfetto loads).
  *
- * Reads a Chrome trace-event JSON (the format Perfetto loads), checks
- * the event schema, and prints a per-process, per-event-name summary:
+ * Checks the event schema and prints a per-process, per-event-name
+ * summary:
  *
  *   trace_report t.json                  # summary table
  *   trace_report --validate t.json       # schema check only
- *   trace_report --validate-stats s.json # slip-sim --stats-json check
  *
- * --validate-stats schema-checks a `slip-sim --stats-json` dump for
- * any hierarchy shape: per-core level blocks, shared level blocks,
- * counter identities (hits + misses == accesses), the energy ledger,
- * and the dram/eou/system sections. CI runs it over the scenario
- * matrix, so a scenario that silently drops a level or a counter
- * fails the smoke step.
+ * Run reports have their own validator, `slip-report validate`.
  */
 
 #include <cstdio>
@@ -143,283 +137,36 @@ report(const std::string &path, bool validate_only)
     return 0;
 }
 
-// ---------------------------------------------------------------------
-// --validate-stats: slip-sim --stats-json schema check.
-
-/** Set once per file so every complaint names its path and field. */
-std::string g_stats_path;
-int g_stats_errors = 0;
-
-void
-complain(const std::string &where, const char *what)
-{
-    std::fprintf(stderr, "trace_report: %s: %s: %s\n",
-                 g_stats_path.c_str(), where.c_str(), what);
-    ++g_stats_errors;
-}
-
-const Value *
-needKey(const Value &obj, const std::string &where, const char *key)
-{
-    const Value *v = obj.find(key);
-    if (!v)
-        complain(where + "." + key, "missing");
-    return v;
-}
-
-bool
-isNum(const Value *v)
-{
-    return v && v->isNumber();
-}
-
-double
-numOr(const Value *v, double fallback = 0.0)
-{
-    return isNum(v) ? v->asDouble() : fallback;
-}
-
-void
-checkNumber(const Value &obj, const std::string &where, const char *key)
-{
-    const Value *v = needKey(obj, where, key);
-    if (v && !v->isNumber())
-        complain(where + "." + key, "expected a number");
-}
-
-/** One cache-level block (levelStatsJson), core-private or shared. */
-void
-checkLevelStats(const Value &v, const std::string &where)
-{
-    if (!v.isObject()) {
-        complain(where, "expected a level-stats object");
-        return;
-    }
-    for (const char *key :
-         {"metadata_accesses", "metadata_hits", "insertions",
-          "bypasses", "movements", "writebacks", "invalidations",
-          "port_busy_cycles"})
-        checkNumber(v, where, key);
-
-    const double acc = numOr(needKey(v, where, "demand_accesses"));
-    const double hits = numOr(needKey(v, where, "demand_hits"));
-    const double misses = numOr(needKey(v, where, "demand_misses"));
-    if (hits + misses != acc)
-        complain(where, "demand hits + misses != accesses");
-
-    const Value *e = needKey(v, where, "energy_pj");
-    if (e) {
-        if (!e->isObject() || !isNum(e->find("total"))) {
-            complain(where + ".energy_pj", "expected {cat: pj, total}");
-        } else {
-            double sum = 0;
-            for (const auto &kv : e->members())
-                if (kv.first != "total")
-                    sum += numOr(&kv.second);
-            const double total = e->find("total")->asDouble();
-            if (sum < total * (1 - 1e-9) - 1e-9 ||
-                sum > total * (1 + 1e-9) + 1e-9)
-                complain(where + ".energy_pj",
-                         "categories do not sum to total");
-        }
-    }
-    const Value *ledger = needKey(v, where, "energy_cause_pj");
-    if (ledger && !ledger->isObject())
-        complain(where + ".energy_cause_pj", "expected an object");
-    const Value *subs = needKey(v, where, "sublevels");
-    if (subs && (!subs->isArray() || subs->size() == 0))
-        complain(where + ".sublevels", "expected a non-empty array");
-}
-
-/** A shared level may carry a per-NUCA-slice breakdown. */
-void
-checkSharedLevelStats(const Value &v, const std::string &where)
-{
-    checkLevelStats(v, where);
-    const Value *slices = v.isObject() ? v.find("slices") : nullptr;
-    if (!slices)
-        return;
-    if (!slices->isArray() || slices->size() < 2) {
-        complain(where + ".slices",
-                 "expected an array of at least two slice blocks");
-        return;
-    }
-    for (std::size_t s = 0; s < slices->size(); ++s)
-        checkLevelStats(slices->elements()[s],
-                        where + ".slices[" + std::to_string(s) + "]");
-}
-
-int
-validateStats(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is) {
-        std::fprintf(stderr, "trace_report: cannot open %s\n",
-                     path.c_str());
-        return 1;
-    }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    Value root;
-    std::string err;
-    if (!Value::parse(buf.str(), root, &err)) {
-        std::fprintf(stderr, "trace_report: %s: invalid JSON: %s\n",
-                     path.c_str(), err.c_str());
-        return 1;
-    }
-    g_stats_path = path;
-    g_stats_errors = 0;
-    if (!root.isObject()) {
-        complain("$", "stats dump must be a JSON object");
-        return 1;
-    }
-
-    std::size_t levels = 0;
-
-    const Value *system = needKey(root, "$", "system");
-    if (system) {
-        checkNumber(*system, "$.system", "cores");
-        checkNumber(*system, "$.system", "instructions");
-        checkNumber(*system, "$.system", "cycles");
-        checkNumber(*system, "$.system", "full_system_energy_pj");
-        const Value *pol = needKey(*system, "$.system", "policy");
-        if (pol && !pol->isString())
-            complain("$.system.policy", "expected a string");
-    }
-
-    const Value *cores = needKey(root, "$", "cores");
-    if (cores && (!cores->isArray() || cores->size() == 0)) {
-        complain("$.cores", "expected a non-empty array");
-        cores = nullptr;
-    }
-    if (cores && system &&
-        double(cores->size()) != numOr(system->find("cores"), -1))
-        complain("$.cores", "length disagrees with $.system.cores");
-    if (cores) {
-        for (std::size_t c = 0; c < cores->size(); ++c) {
-            const Value &core = cores->elements()[c];
-            const std::string where =
-                "$.cores[" + std::to_string(c) + "]";
-            if (!core.isObject()) {
-                complain(where, "expected an object");
-                continue;
-            }
-            checkNumber(core, where, "accesses");
-            checkNumber(core, where, "l1_hits");
-            checkNumber(core, where, "mem_stall_cycles");
-            const Value *tlb = needKey(core, where, "tlb");
-            if (tlb) {
-                checkNumber(*tlb, where + ".tlb", "accesses");
-                checkNumber(*tlb, where + ".tlb", "misses");
-                checkNumber(*tlb, where + ".tlb", "flushes");
-            }
-            // Any other key is a core-private cache level.
-            std::size_t core_levels = 0;
-            for (const auto &kv : core.members()) {
-                if (kv.first == "accesses" || kv.first == "l1_hits" ||
-                    kv.first == "mem_stall_cycles" ||
-                    kv.first == "tlb")
-                    continue;
-                checkLevelStats(kv.second, where + "." + kv.first);
-                ++core_levels;
-            }
-            if (core_levels == 0)
-                complain(where, "no per-core cache levels");
-            if (c == 0)
-                levels += core_levels;
-        }
-    }
-
-    // Coherence-lite counters appear only on coherent hierarchies
-    // (DESIGN.md §5c); when present the block is three counters.
-    if (const Value *coh = root.find("coherence")) {
-        if (!coh->isObject()) {
-            complain("$.coherence", "expected an object");
-        } else {
-            checkNumber(*coh, "$.coherence", "write_probes");
-            checkNumber(*coh, "$.coherence", "invalidations");
-            checkNumber(*coh, "$.coherence", "dirty_writebacks");
-        }
-    }
-
-    // Any unrecognized root key is a shared cache level.
-    for (const auto &kv : root.members()) {
-        if (kv.first == "system" || kv.first == "cores" ||
-            kv.first == "dram" || kv.first == "eou" ||
-            kv.first == "pagetable" || kv.first == "metadata" ||
-            kv.first == "coherence")
-            continue;
-        checkSharedLevelStats(kv.second, "$." + kv.first);
-        ++levels;
-    }
-    if (levels < 2)
-        complain("$", "fewer than two cache levels in the dump");
-
-    const Value *dram = needKey(root, "$", "dram");
-    if (dram) {
-        for (const char *key :
-             {"reads", "writes", "metadata_accesses", "traffic_lines",
-              "energy_pj", "demand_energy_pj", "metadata_energy_pj"})
-            checkNumber(*dram, "$.dram", key);
-    }
-
-    const Value *eou = needKey(root, "$", "eou");
-    if (eou) {
-        checkNumber(*eou, "$.eou", "operations");
-        for (const auto &kv : eou->members()) {
-            if (kv.first == "operations")
-                continue;
-            if (!kv.second.isArray() || kv.second.size() == 0)
-                complain("$.eou." + kv.first,
-                         "expected a non-empty choice-count array");
-        }
-    }
-
-    if (const Value *pt = needKey(root, "$", "pagetable"))
-        checkNumber(*pt, "$.pagetable", "pages");
-    if (const Value *md = needKey(root, "$", "metadata"))
-        checkNumber(*md, "$.metadata", "pages");
-
-    if (g_stats_errors)
-        return 1;
-    std::printf("%s: OK (%zu cache levels)\n", path.c_str(), levels);
-    return 0;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     bool validate_only = false;
-    bool stats_mode = false;
     std::vector<std::string> paths;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--validate") == 0)
+        if (std::strcmp(argv[i], "--validate") == 0) {
             validate_only = true;
-        else if (std::strcmp(argv[i], "--validate-stats") == 0)
-            stats_mode = true;
-        else if (std::strcmp(argv[i], "--help") == 0 ||
-                 std::strcmp(argv[i], "-h") == 0) {
-            std::puts("usage: trace_report [--validate] TRACE.json...\n"
-                      "       trace_report --validate-stats STATS.json"
-                      "...");
+        } else if (std::strcmp(argv[i], "--help") == 0 ||
+                   std::strcmp(argv[i], "-h") == 0) {
+            std::puts("usage: trace_report [--validate] TRACE.json...");
             return 0;
-        } else
+        } else if (argv[i][0] == '-') {
+            std::fprintf(stderr, "trace_report: unknown option '%s'\n",
+                         argv[i]);
+            return 1;
+        } else {
             paths.push_back(argv[i]);
+        }
     }
     if (paths.empty()) {
-        std::fputs("usage: trace_report [--validate|--validate-stats]"
-                   " FILE.json...\n",
+        std::fputs("usage: trace_report [--validate] TRACE.json...\n",
                    stderr);
         return 1;
     }
     int rc = 0;
-    for (const auto &p : paths) {
-        const int prc =
-            stats_mode ? validateStats(p) : report(p, validate_only);
-        if (prc)
-            rc = prc;
-    }
+    for (const auto &p : paths)
+        if (report(p, validate_only))
+            rc = 1;
     return rc;
 }
