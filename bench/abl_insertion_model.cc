@@ -22,7 +22,7 @@ plan(std::vector<RunSpec> &out)
 {
     SweepOptions with;
     SweepOptions without = with;
-    without.eouIncludeInsertion = false;
+    without.config.eouIncludeInsertion = false;
     for (const auto &benchn : specBenchmarks()) {
         out.push_back(
             RunSpec::single(benchn, PolicyKind::Baseline, with));
@@ -38,7 +38,7 @@ render()
 {
     SweepOptions with;
     SweepOptions without = with;
-    without.eouIncludeInsertion = false;
+    without.config.eouIncludeInsertion = false;
 
     printHeader("Ablation: EOU refill-write term (SLIP+ABP)",
                 "DESIGN.md §4.1 — strict printed equations vs the "

@@ -21,8 +21,8 @@ plan(std::vector<RunSpec> &out)
 {
     SweepOptions lru;
     SweepOptions rrip = lru;
-    rrip.repl = ReplKind::Rrip;
-    rrip.randomSublevelVictim = true;
+    rrip.config.repl = ReplKind::Rrip;
+    rrip.config.randomSublevelVictim = true;
     for (const auto &benchn : specBenchmarks())
         for (const SweepOptions *o : {&lru, &rrip})
             for (PolicyKind pk :
@@ -35,8 +35,8 @@ render()
 {
     SweepOptions lru;
     SweepOptions rrip = lru;
-    rrip.repl = ReplKind::Rrip;
-    rrip.randomSublevelVictim = true;
+    rrip.config.repl = ReplKind::Rrip;
+    rrip.config.randomSublevelVictim = true;
 
     printHeader("Ablation: replacement policy under SLIP+ABP "
                 "(Section 7 DRRIP adaptation)",

@@ -80,7 +80,8 @@ printHeader(const std::string &title, const std::string &paper_ref,
     std::printf("config: %llu refs after %llu warm-up, %s, %s\n\n",
                 static_cast<unsigned long long>(opts.refs),
                 static_cast<unsigned long long>(opts.warmup),
-                opts.tech.name.c_str(), topologyName(opts.topology));
+                opts.config.tech.name.c_str(),
+                topologyName(opts.config.topology));
 }
 
 double

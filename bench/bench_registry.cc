@@ -19,7 +19,6 @@
 #include "obs/telemetry.hh"
 #include "obs/trace.hh"
 #include "perf/perf_counters.hh"
-#include "scenario/canonical.hh"
 #include "scenario/scenario.hh"
 #include "sweep/status_stream.hh"
 #include "util/json.hh"
@@ -50,8 +49,6 @@ usage(const char *argv0)
         "  --list            list registered figures and exit\n"
         "  --scenario F      run a declarative JSON scenario (may be\n"
         "                    repeated; replaces the figure selection)\n"
-        "  --emit-scenarios D  write the canonical scenario set to\n"
-        "                    directory D and exit\n"
         "  --refs N          measured references per run "
         "(= SLIP_BENCH_REFS)\n"
         "  --warmup N        warm-up references (= SLIP_BENCH_WARMUP)\n"
@@ -189,10 +186,10 @@ writeReports(const std::string &dir, const SweepRunner &runner,
         const auto sit = scenario_names.find(kv.first);
         if (sit != scenario_names.end())
             prov.scenario = sit->second;
-        prov.hierarchyKey = spec.opts.hierarchy.key();
+        prov.hierarchyKey = spec.opts.config.hierarchy.key();
         prov.cacheKeyVersion = kCacheKeyVersion;
         prov.traceHash = specTraceHash(spec);
-        prov.runThreads = spec.opts.runThreads;
+        prov.runThreads = spec.opts.config.runThreads;
         prov.refs = spec.opts.refs;
         prov.warmup = spec.opts.warmup;
 
@@ -200,10 +197,11 @@ writeReports(const std::string &dir, const SweepRunner &runner,
         // (sweep/run_result.cc): on a 2-level hierarchy both are the
         // one outer level, listed once. Deeper hierarchies never get
         // here (benchOrchestratorMain rejects them).
-        if (spec.opts.hierarchy.levels.size() != 2)
+        if (spec.opts.config.hierarchy.levels.size() != 2)
             report.levels.push_back(reportLevel("l2", r.l2));
         report.levels.push_back(reportLevel("l3", r.l3));
-        report.corePj = r.instructions * spec.opts.tech.corePjPerInstr;
+        report.corePj =
+            r.instructions * spec.opts.config.tech.corePjPerInstr;
         report.l1Pj = r.l1EnergyPj;
         report.dramDemandPj = r.dramDemandPj;
         report.dramMetadataPj = r.dramMetadataPj;
@@ -260,42 +258,37 @@ writeTraceJson(const std::string &path)
 }
 
 /**
- * The RunSpec a scenario describes. The sweep engine executes runs
- * with the default system seed (1) and workload seed (0); scenarios
- * that override either are rejected here rather than silently run
- * with the wrong streams (use slip-sim --scenario for those).
+ * The RunSpec a scenario describes, configured by scenarioSystemConfig
+ * like slip-sim --scenario. The sweep engine's workloads use workload
+ * seed 0, and its RunSpec shapes cover one workload replicated across
+ * cores or a two-core mix; other scenarios are rejected here rather
+ * than silently run with the wrong streams (use slip-sim --scenario
+ * for those).
  */
 RunSpec
 scenarioRunSpec(const Scenario &s)
 {
-    if (s.seed != 1 || s.workloadSeed != 0)
-        fatal("scenario '%s': the sweep engine pins seed=1/"
-              "workload_seed=0; use slip-sim --scenario for custom "
-              "seeds",
+    if (s.workloadSeed != 0)
+        fatal("scenario '%s': the sweep engine pins workload_seed=0; "
+              "use slip-sim --scenario for custom workload seeds",
               s.name.c_str());
     SweepOptions opts;
+    // Without a run_threads hint, SLIP_RUN_THREADS (read by
+    // SweepOptions) applies.
+    const unsigned env_threads = opts.config.runThreads;
+    opts.config = scenarioSystemConfig(s);
+    if (!s.runThreads)
+        opts.config.runThreads = env_threads;
     if (s.refs) {
         opts.refs = s.refs;
         opts.warmup = s.warmup;
     }
-    opts.tech = s.tech == "22nm" ? tech22nm() : tech45nm();
-    parseTopologyKind(s.topology, opts.topology);
-    opts.samplingMode = s.sampling == "always" ? SamplingMode::Always
-                                               : SamplingMode::TimeBased;
-    opts.rdBinBits = s.rdBinBits;
-    opts.eouIncludeInsertion = s.eouIncludeInsertion;
-    parseReplKind(s.repl, opts.repl);
-    opts.randomSublevelVictim = s.randomVictim;
-    opts.hierarchy = s.hierarchy;
-    if (s.runThreads)
-        opts.runThreads = s.runThreads;
+    const PolicyKind pk = opts.config.policy;
+    const unsigned cores = opts.config.numCores;
 
-    PolicyKind pk = PolicyKind::Baseline;
-    parsePolicyKind(s.policy, pk);
-
-    if (s.cores == 1)
+    if (cores == 1)
         return RunSpec::single(s.workloads[0], pk, opts);
-    if (s.cores == 2 && s.workloads.size() == 2 &&
+    if (cores == 2 && s.workloads.size() == 2 &&
         s.workloads[0] != s.workloads[1])
         return RunSpec::mix(s.workloads[0], s.workloads[1], pk, opts);
     if (s.workloads.size() > 1) {
@@ -305,9 +298,9 @@ scenarioRunSpec(const Scenario &s)
               "workload across N cores; a %zu-entry heterogeneous "
               "mix on %u cores is only runnable via slip-sim "
               "--scenario",
-              s.name.c_str(), s.workloads.size(), s.cores);
+              s.name.c_str(), s.workloads.size(), cores);
     }
-    return RunSpec::replicated(s.workloads[0], s.cores, pk, opts);
+    return RunSpec::replicated(s.workloads[0], cores, pk, opts);
 }
 
 void
@@ -351,7 +344,6 @@ benchOrchestratorMain(int argc, char **argv)
     bool progress = true;
     std::string only;
     std::vector<std::string> scenario_paths;
-    std::string emit_scenarios_dir;
     std::string profile_json;
     std::string trace_out;
     std::string report_dir;
@@ -390,8 +382,6 @@ benchOrchestratorMain(int argc, char **argv)
             list_only = true;
         } else if (arg == "--scenario") {
             scenario_paths.push_back(value());
-        } else if (arg == "--emit-scenarios") {
-            emit_scenarios_dir = value();
         } else if (arg == "--refs") {
             ::setenv("SLIP_BENCH_REFS", value(), 1);
         } else if (arg == "--warmup") {
@@ -426,13 +416,6 @@ benchOrchestratorMain(int argc, char **argv)
         }
     }
 
-    if (!emit_scenarios_dir.empty()) {
-        const unsigned n = emitCanonicalScenarios(emit_scenarios_dir);
-        std::fprintf(stderr, "wrote %u canonical scenarios to %s\n", n,
-                     emit_scenarios_dir.c_str());
-        return 0;
-    }
-
     std::vector<std::pair<Scenario, RunSpec>> scenario_runs;
     for (const auto &path : scenario_paths) {
         Scenario s;
@@ -441,17 +424,16 @@ benchOrchestratorMain(int argc, char **argv)
             fatal("%s", err.c_str());
         // Sweep results keep only level 1 and the last level, so a
         // report of a deeper hierarchy would miss its middle levels.
-        if (!report_dir.empty() && s.hierarchy.levels.size() > 3)
+        const std::size_t levels = s.config.hierarchy.levels.size();
+        if (!report_dir.empty() && levels > 3)
             fatal("scenario '%s': --report-dir reports cover at most 3 "
                   "cache levels, not %zu; use slip-sim --scenario with "
                   "--report for this hierarchy",
-                  s.name.c_str(), s.hierarchy.levels.size());
+                  s.name.c_str(), levels);
         scenario_runs.emplace_back(s, scenarioRunSpec(s));
     }
 
     const auto &all = benchFigures();
-    if (all.empty() && scenario_runs.empty())
-        fatal("no figures registered in this binary");
 
     if (list_only) {
         for (const auto &f : all)
@@ -466,11 +448,6 @@ benchOrchestratorMain(int argc, char **argv)
     } else if (only.empty()) {
         for (const auto &f : all)
             if (f.byDefault)
-                selected.push_back(&f);
-        // A binary holding only opt-out figures (the standalone
-        // micro_eou) still runs them when invoked bare.
-        if (selected.empty())
-            for (const auto &f : all)
                 selected.push_back(&f);
     } else {
         std::string rest = only;
@@ -576,7 +553,8 @@ benchOrchestratorMain(int argc, char **argv)
             if (seen.insert(k).second)
                 keys.push_back(std::move(k));
         }
-        ss->emitPlan(keys, runner.jobs(), SweepOptions().runThreads);
+        ss->emitPlan(keys, runner.jobs(),
+                     SweepOptions().config.runThreads);
     }
 
     // Per-plan cache accounting: a long-lived process may run several

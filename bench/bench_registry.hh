@@ -15,9 +15,8 @@
  *               on-demand simulation for anything a plan missed, so an
  *               incomplete plan costs time, never correctness.
  *
- * The same orchestrator main drives both the per-figure binaries
- * (which register exactly one figure) and slip-bench (which registers
- * all of them).
+ * The orchestrator main drives slip-bench, which registers all of them
+ * (`--only NAME` renders a subset).
  */
 
 #ifndef SLIP_BENCH_BENCH_REGISTRY_HH

@@ -91,12 +91,11 @@ BM_WorkloadGeneration(benchmark::State &state)
 BENCHMARK(BM_WorkloadGeneration);
 
 /**
- * Registered like the figures so `slip-bench --only micro_eou` (or
- * the standalone binary) runs the microbenchmarks; they need no
- * simulated runs, so the plan is empty and the sweep degenerates to
- * nothing. byDefault=false keeps minutes of google-benchmark timing
- * out of the default all-figures render — the micros run only when
- * named explicitly.
+ * Registered like the figures so `slip-bench --only micro_eou` runs
+ * the microbenchmarks; they need no simulated runs, so the plan is
+ * empty and the sweep degenerates to nothing. byDefault=false keeps
+ * minutes of google-benchmark timing out of the default all-figures
+ * render — the micros run only when named explicitly.
  */
 int
 render()

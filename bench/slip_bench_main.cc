@@ -1,9 +1,8 @@
 /**
  * @file
- * Entry point shared by slip-bench (linked with every figure) and the
- * per-figure binaries (linked with exactly one). All orchestration —
- * flag parsing, parallel sweep execution, rendering — lives in
- * benchOrchestratorMain().
+ * Entry point of slip-bench, which links every figure. All
+ * orchestration — flag parsing, parallel sweep execution, rendering —
+ * lives in benchOrchestratorMain().
  */
 
 #include "bench_registry.hh"

@@ -26,7 +26,7 @@ plan(std::vector<RunSpec> &out)
             RunSpec::single(benchn, PolicyKind::Baseline, base_opts));
         for (unsigned bits : kWidths) {
             SweepOptions opts = base_opts;
-            opts.rdBinBits = bits;
+            opts.config.rdBinBits = bits;
             out.push_back(
                 RunSpec::single(benchn, PolicyKind::SlipAbp, opts));
         }
@@ -51,7 +51,7 @@ render()
 
     for (unsigned bits : widths) {
         SweepOptions opts = base_opts;
-        opts.rdBinBits = bits;
+        opts.config.rdBinBits = bits;
         std::vector<double> l2s, l3s, dts, abps;
         for (const auto &benchn : specBenchmarks()) {
             const RunResult base =

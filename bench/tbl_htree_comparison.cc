@@ -22,9 +22,9 @@ plan(std::vector<RunSpec> &out)
 {
     SweepOptions way;
     SweepOptions htree = way;
-    htree.topology = TopologyKind::HTree;
+    htree.config.topology = TopologyKind::HTree;
     SweepOptions setil = way;
-    setil.topology = TopologyKind::HierBusSetInterleaved;
+    setil.config.topology = TopologyKind::HierBusSetInterleaved;
     for (const auto &benchn : specBenchmarks())
         for (const SweepOptions *o : {&way, &htree, &setil})
             out.push_back(
@@ -36,9 +36,9 @@ render()
 {
     SweepOptions way;
     SweepOptions htree = way;
-    htree.topology = TopologyKind::HTree;
+    htree.config.topology = TopologyKind::HTree;
     SweepOptions setil = way;
-    setil.topology = TopologyKind::HierBusSetInterleaved;
+    setil.config.topology = TopologyKind::HierBusSetInterleaved;
 
     printHeader("Section 2.1: interconnect topology comparison "
                 "(baseline policy)",

@@ -32,7 +32,7 @@ plan(std::vector<RunSpec> &out)
 {
     SweepOptions sampled;
     SweepOptions always = sampled;
-    always.samplingMode = SamplingMode::Always;
+    always.config.samplingMode = SamplingMode::Always;
     for (const auto &benchn : sampledBenches()) {
         out.push_back(
             RunSpec::single(benchn, PolicyKind::Baseline, sampled));
@@ -48,7 +48,7 @@ render()
 {
     SweepOptions sampled;
     SweepOptions always = sampled;
-    always.samplingMode = SamplingMode::Always;
+    always.config.samplingMode = SamplingMode::Always;
 
     printHeader("Sections 4.1/4.2: metadata traffic, always-fetch vs "
                 "time-based sampling (SLIP+ABP)",

@@ -21,7 +21,7 @@ plan(std::vector<RunSpec> &out)
 {
     SweepOptions n45;
     SweepOptions n22 = n45;
-    n22.tech = tech22nm();
+    n22.config.tech = tech22nm();
     for (const auto &benchn : specBenchmarks())
         for (const SweepOptions *o : {&n45, &n22})
             for (PolicyKind pk :
@@ -34,7 +34,7 @@ render()
 {
     SweepOptions n45;
     SweepOptions n22 = n45;
-    n22.tech = tech22nm();
+    n22.config.tech = tech22nm();
 
     printHeader("Section 6: SLIP+ABP savings at 22 nm vs 45 nm",
                 "paper: 36% L2 / 25% L3 at 22 nm (vs 35%/22% at 45 nm)",

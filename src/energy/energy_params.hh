@@ -36,6 +36,8 @@ struct LevelEnergyParams
     std::array<Cycles, kNumSublevels> sublevelLatency;
     /** Energy of one metadata (12 b policy+timestamp) access, pJ. */
     double metadataPj;
+
+    bool operator==(const LevelEnergyParams &) const = default;
 };
 
 /** Full technology parameter set. */
@@ -64,6 +66,8 @@ struct TechParams
     {
         return dramPjPerBit * kLineSize * 8.0;
     }
+
+    bool operator==(const TechParams &) const = default;
 };
 
 /** The 45 nm parameter set of Tables 1 and 2. */

@@ -242,23 +242,40 @@ parseScenario(const json::Value &root, Scenario &out)
     if (!(err = getString(root, "$", "description", out.description))
              .empty())
         return err;
-    if (!(err = getString(root, "$", "policy", out.policy)).empty())
+    SystemConfig &cfg = out.config;
+    std::string policy = policyCliName(cfg.policy);
+    std::string tech = cfg.tech.name;
+    std::string topology = topologyCliName(cfg.topology);
+    std::string repl = replCliName(cfg.repl);
+    if (!(err = getString(root, "$", "policy", policy)).empty())
         return err;
-    if (!(err = getString(root, "$", "tech", out.tech)).empty())
+    if (!parsePolicyKind(policy, cfg.policy))
+        return "$.policy: unknown policy '" + policy + "'";
+    if (!(err = getString(root, "$", "tech", tech)).empty())
         return err;
-    if (!(err = getString(root, "$", "topology", out.topology)).empty())
+    if (tech == "22nm")
+        cfg.tech = tech22nm();
+    else if (tech != "45nm")
+        return "$.tech: unknown technology '" + tech +
+               "' (want 45nm|22nm)";
+    if (!(err = getString(root, "$", "topology", topology)).empty())
         return err;
-    if (!(err = getString(root, "$", "repl", out.repl)).empty())
+    if (!parseTopologyKind(topology, cfg.topology))
+        return "$.topology: unknown topology '" + topology + "'";
+    if (!(err = getString(root, "$", "repl", repl)).empty())
         return err;
-    if (!(err = getBool(root, "$", "random_victim", out.randomVictim))
+    if (!parseReplKind(repl, cfg.repl))
+        return "$.repl: unknown replacement '" + repl + "'";
+    if (!(err = getBool(root, "$", "random_victim",
+                        cfg.randomSublevelVictim))
              .empty())
         return err;
-    if (!(err = getBool(root, "$", "inclusive_llc", out.inclusiveLast))
+    if (!(err = getBool(root, "$", "inclusive_llc", cfg.inclusiveL3))
              .empty())
         return err;
-    if (!(err = getUnsigned(root, "$", "cores", out.cores)).empty())
+    if (!(err = getUnsigned(root, "$", "cores", cfg.numCores)).empty())
         return err;
-    if (out.cores < 1 || out.cores > 64)
+    if (cfg.numCores < 1 || cfg.numCores > 64)
         return "$.cores: must be in [1, 64]";
 
     const json::Value *w = root.find("workload");
@@ -285,34 +302,37 @@ parseScenario(const json::Value &root, Scenario &out)
         return "$.workload: required (or $.workloads)";
     }
     if (out.workloads.size() != 1 &&
-        out.workloads.size() != out.cores)
+        out.workloads.size() != cfg.numCores)
         return "$.workloads: need exactly 1 entry or one per core (" +
-               std::to_string(out.cores) + ")";
+               std::to_string(cfg.numCores) + ")";
 
     if (!(err = getU64(root, "$", "refs", out.refs)).empty())
         return err;
     if (!(err = getU64(root, "$", "warmup", out.warmup)).empty())
         return err;
-    if (!(err = getUnsigned(root, "$", "rd_bin_bits", out.rdBinBits))
+    if (!(err = getUnsigned(root, "$", "rd_bin_bits", cfg.rdBinBits))
              .empty())
         return err;
-    if (out.rdBinBits < 1 || out.rdBinBits > 16)
+    if (cfg.rdBinBits < 1 || cfg.rdBinBits > 16)
         return "$.rd_bin_bits: must be in [1, 16]";
-    if (!(err = getString(root, "$", "sampling", out.sampling)).empty())
+    std::string sampling = "time";
+    if (!(err = getString(root, "$", "sampling", sampling)).empty())
         return err;
-    if (out.sampling != "time" && out.sampling != "always")
+    if (sampling != "time" && sampling != "always")
         return "$.sampling: expected \"time\" or \"always\"";
+    if (sampling == "always")
+        cfg.samplingMode = SamplingMode::Always;
     if (!(err = getBool(root, "$", "eou_include_insertion",
-                        out.eouIncludeInsertion))
+                        cfg.eouIncludeInsertion))
              .empty())
         return err;
     if (!(err = getUnsigned(root, "$", "rd_block_pages",
-                            out.rdBlockPages))
+                            cfg.rdBlockPages))
              .empty())
         return err;
-    if (out.rdBlockPages < 1)
+    if (cfg.rdBlockPages < 1)
         return "$.rd_block_pages: must be >= 1";
-    if (!(err = getU64(root, "$", "seed", out.seed)).empty())
+    if (!(err = getU64(root, "$", "seed", cfg.seed)).empty())
         return err;
     if (!(err = getU64(root, "$", "workload_seed", out.workloadSeed))
              .empty())
@@ -330,9 +350,9 @@ parseScenario(const json::Value &root, Scenario &out)
                              "$.levels[" + std::to_string(i) + "]", l);
             if (!err.empty())
                 return err;
-            out.hierarchy.levels.push_back(std::move(l));
+            cfg.hierarchy.levels.push_back(std::move(l));
         }
-        const std::string bad = out.hierarchy.validate();
+        const std::string bad = cfg.hierarchy.validate();
         if (!bad.empty())
             return rewriteLevelError(bad);
     }
@@ -366,17 +386,7 @@ loadScenarioFile(const std::string &path, Scenario &out)
 std::string
 validateScenario(const Scenario &s)
 {
-    if (s.tech != "45nm" && s.tech != "22nm")
-        return "$.tech: unknown technology '" + s.tech +
-               "' (want 45nm|22nm)";
-    if (!findLevelPolicy(s.policy))
-        return "$.policy: unknown policy '" + s.policy + "'";
-    TopologyKind topo;
-    if (!parseTopologyKind(s.topology, topo))
-        return "$.topology: unknown topology '" + s.topology + "'";
-    ReplKind repl;
-    if (!parseReplKind(s.repl, repl))
-        return "$.repl: unknown replacement '" + s.repl + "'";
+    const SystemConfig &cfg = s.config;
     for (std::size_t i = 0; i < s.workloads.size(); ++i) {
         const std::string &w = s.workloads[i];
         // `trace:` workloads are validated against the file itself
@@ -384,7 +394,7 @@ validateScenario(const Scenario &s)
         // trace is rejected here rather than aborting mid-run.
         if (isTraceWorkload(w)) {
             const std::string terr =
-                validateTraceWorkload(w, s.cores);
+                validateTraceWorkload(w, cfg.numCores);
             if (!terr.empty())
                 return "$.workloads[" + std::to_string(i) +
                        "]: " + terr;
@@ -396,9 +406,8 @@ validateScenario(const Scenario &s)
 
     // Resolving catches what structural validation cannot: unknown
     // per-level topology/repl/policy keys and SLIP-slot exhaustion.
-    const SystemConfig cfg = scenarioSystemConfig(s);
     HierarchyDefaults defs;
-    defs.policy = s.policy;
+    defs.policy = policyCliName(cfg.policy);
     defs.topology = cfg.topology;
     defs.repl = cfg.repl;
     defs.randomVictim = cfg.randomSublevelVictim;
@@ -406,7 +415,7 @@ validateScenario(const Scenario &s)
     defs.tech = &cfg.tech;
     std::string err;
     std::vector<ResolvedLevel> resolved =
-        resolveHierarchy(s.hierarchy, defs, &err);
+        resolveHierarchy(cfg.hierarchy, defs, &err);
     if (resolved.empty())
         return rewriteLevelError(err);
 
@@ -437,23 +446,7 @@ validateScenario(const Scenario &s)
 SystemConfig
 scenarioSystemConfig(const Scenario &s)
 {
-    SystemConfig cfg;
-    PolicyKind kind;
-    if (parsePolicyKind(s.policy, kind))
-        cfg.policy = kind;
-    cfg.tech = s.tech == "22nm" ? tech22nm() : tech45nm();
-    parseTopologyKind(s.topology, cfg.topology);
-    parseReplKind(s.repl, cfg.repl);
-    cfg.randomSublevelVictim = s.randomVictim;
-    cfg.inclusiveL3 = s.inclusiveLast;
-    cfg.numCores = s.cores;
-    cfg.hierarchy = s.hierarchy;
-    cfg.rdBinBits = s.rdBinBits;
-    cfg.samplingMode = s.sampling == "always" ? SamplingMode::Always
-                                              : SamplingMode::TimeBased;
-    cfg.eouIncludeInsertion = s.eouIncludeInsertion;
-    cfg.rdBlockPages = s.rdBlockPages;
-    cfg.seed = s.seed;
+    SystemConfig cfg = s.config;
     if (s.runThreads)
         cfg.runThreads = s.runThreads;
     return cfg;
@@ -466,15 +459,16 @@ scenarioJson(const Scenario &s)
     root["name"] = s.name;
     if (!s.description.empty())
         root["description"] = s.description;
-    root["policy"] = s.policy;
-    root["tech"] = s.tech;
-    root["topology"] = s.topology;
-    root["repl"] = s.repl;
-    if (s.randomVictim)
+    const SystemConfig &cfg = s.config;
+    root["policy"] = policyCliName(cfg.policy);
+    root["tech"] = cfg.tech.name;
+    root["topology"] = topologyCliName(cfg.topology);
+    root["repl"] = replCliName(cfg.repl);
+    if (cfg.randomSublevelVictim)
         root["random_victim"] = true;
-    if (s.inclusiveLast)
+    if (cfg.inclusiveL3)
         root["inclusive_llc"] = true;
-    root["cores"] = s.cores;
+    root["cores"] = cfg.numCores;
     if (s.workloads.size() == 1) {
         root["workload"] = s.workloads[0];
     } else {
@@ -487,21 +481,22 @@ scenarioJson(const Scenario &s)
         root["refs"] = s.refs;
     if (s.warmup)
         root["warmup"] = s.warmup;
-    root["rd_bin_bits"] = s.rdBinBits;
-    root["sampling"] = s.sampling;
-    if (!s.eouIncludeInsertion)
+    root["rd_bin_bits"] = cfg.rdBinBits;
+    root["sampling"] =
+        cfg.samplingMode == SamplingMode::Always ? "always" : "time";
+    if (!cfg.eouIncludeInsertion)
         root["eou_include_insertion"] = false;
-    if (s.rdBlockPages != 1)
-        root["rd_block_pages"] = s.rdBlockPages;
-    root["seed"] = s.seed;
+    if (cfg.rdBlockPages != 1)
+        root["rd_block_pages"] = cfg.rdBlockPages;
+    root["seed"] = cfg.seed;
     if (s.workloadSeed)
         root["workload_seed"] = s.workloadSeed;
     if (s.runThreads)
         root["run_threads"] = s.runThreads;
-    if (!s.hierarchy.empty()) {
+    if (!cfg.hierarchy.empty()) {
         json::Value &levels = root["levels"];
         levels = json::Value::array();
-        for (const LevelSpec &l : s.hierarchy.levels) {
+        for (const LevelSpec &l : cfg.hierarchy.levels) {
             json::Value v = json::Value::object();
             v["name"] = l.name;
             v["size_kb"] = l.sizeBytes / 1024;

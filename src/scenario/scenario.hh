@@ -5,14 +5,14 @@
  * the reuse-distance knobs — loadable by `slip-sim --scenario` and
  * `slip-bench --scenario`.
  *
- * A scenario is the file-format twin of SystemConfig + a workload
- * binding. Parsing is strict: unknown keys, wrong types, and
- * structurally invalid hierarchies fail with a message naming the
- * offending JSON path ("$.levels[2].ways: ..."), so a typo in a
- * scenario never silently falls back to a default. Fields left out
- * inherit the same defaults as the programmatic API, which keeps a
- * scenario spelling out the classic configuration key-compatible
- * (sweep/run_spec.hh) with the equivalent CLI invocation.
+ * A scenario is a SystemConfig plus a workload binding. Parsing is
+ * strict: unknown keys, wrong types, unknown names, and structurally
+ * invalid hierarchies fail with a message naming the offending JSON
+ * path ("$.levels[2].ways: ..."), so a typo in a scenario never
+ * silently falls back to a default. Fields left out inherit the same
+ * defaults as the programmatic API, which keeps a scenario spelling
+ * out the classic configuration key-compatible (sweep/run_spec.hh)
+ * with the equivalent CLI invocation.
  */
 
 #ifndef SLIP_SCENARIO_SCENARIO_HH
@@ -32,15 +32,10 @@ struct Scenario
     std::string name;
     std::string description;
 
-    /** Policy registry key ("baseline", "slip+abp", ...). */
-    std::string policy = "baseline";
-    std::string tech = "45nm";     ///< TechParams name ("45nm"/"22nm")
-    std::string topology = "way";  ///< default topology CLI key
-    std::string repl = "lru";      ///< default replacement CLI key
-    bool randomVictim = false;
-    bool inclusiveLast = false;
+    /** The simulated system; keys the file leaves out keep the
+     * SystemConfig defaults. */
+    SystemConfig config;
 
-    unsigned cores = 1;
     /**
      * One workload name per core; a single entry is replicated across
      * cores with per-core address offsets (the Figure 16 mix rule).
@@ -50,11 +45,6 @@ struct Scenario
     std::uint64_t refs = 0;    ///< per-core references; 0 = caller's
     std::uint64_t warmup = 0;  ///< per-core warm-up references
 
-    unsigned rdBinBits = 4;
-    std::string sampling = "time";  ///< "time" or "always"
-    bool eouIncludeInsertion = true;
-    unsigned rdBlockPages = 1;
-    std::uint64_t seed = 1;
     /** Seed of the workload generators (independent of the system
      * seed; the golden fixtures pin workload seed 0, system seed 1). */
     std::uint64_t workloadSeed = 0;
@@ -66,9 +56,6 @@ struct Scenario
      * default and the key is omitted from canonical serialization.
      */
     unsigned runThreads = 0;
-
-    /** Empty = the classic Table 1 three-level hierarchy. */
-    HierarchySpec hierarchy;
 };
 
 /**
@@ -85,13 +72,13 @@ std::string loadScenarioFile(const std::string &path, Scenario &out);
 
 /**
  * Semantic validation beyond parseScenario's structural checks:
- * workload names resolve, policy keys are registered, the hierarchy
- * resolves against the scenario's defaults (catching unknown
- * topology/repl keys and over-subscribed SLIP slots). Returns "".
+ * workload names resolve, and the hierarchy resolves against the
+ * system-wide defaults (catching unknown per-level policy/topology/
+ * repl keys and over-subscribed SLIP slots). Returns "".
  */
 std::string validateScenario(const Scenario &s);
 
-/** The SystemConfig a scenario describes. */
+/** The SystemConfig a scenario describes, run_threads hint applied. */
 SystemConfig scenarioSystemConfig(const Scenario &s);
 
 /** Serialize (round-trips through parseScenario). */

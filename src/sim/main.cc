@@ -16,6 +16,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -49,7 +50,10 @@ usage()
         "  --scenario FILE     load a declarative JSON scenario\n"
         "                      (hierarchy, policy, workloads; see\n"
         "                      scenarios/README.md). --refs/--warmup/\n"
-        "                      --seed/--stats still apply on top\n"
+        "                      --seed/--run-threads and the output\n"
+        "                      flags still apply on top; system\n"
+        "                      flags (--policy, --cores, --tech, ...)\n"
+        "                      are rejected: edit the scenario\n"
         "  --loop-trace        loop the trace when exhausted\n"
         "  --policy P          baseline | nurapid | lru-pea | slip |\n"
         "                      slip+abp           (default baseline)\n"
@@ -86,6 +90,24 @@ usage()
         "All options also accept the --flag=value form.\n");
 }
 
+/**
+ * Flags that configure the system, each with the scenario key that
+ * configures the same thing. A scenario describes the whole system,
+ * so --scenario rejects them.
+ */
+const std::map<std::string, const char *> kSystemFlags = {
+    {"--policy", "policy"},
+    {"--cores", "cores"},
+    {"--tech", "tech"},
+    {"--topology", "topology"},
+    {"--repl", "repl"},
+    {"--rd-bits", "rd_bin_bits"},
+    {"--rd-block-pages", "rd_block_pages"},
+    {"--always-sample", "sampling"},
+    {"--inclusive-l3", "inclusive_llc"},
+    {"--no-insertion-term", "eou_include_insertion"},
+};
+
 } // namespace
 
 int
@@ -101,6 +123,7 @@ main(int argc, char **argv)
     std::uint64_t epoch_interval =
         obs::RunObservation().epochIntervalRefs;
     SystemConfig cfg;
+    std::string system_flag;  // the first of kSystemFlags given
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -123,6 +146,8 @@ main(int argc, char **argv)
                 fatal("missing value for %s", arg.c_str());
             return argv[++i];
         };
+        if (kSystemFlags.count(arg) && system_flag.empty())
+            system_flag = arg;
         if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
@@ -214,6 +239,14 @@ main(int argc, char **argv)
     if (!scenario_path.empty()) {
         if (!benchn.empty() || !trace_path.empty())
             fatal("--scenario is exclusive with --bench/--trace");
+        if (!system_flag.empty())
+            fatal("%s is exclusive with --scenario; set \"%s\" in %s "
+                  "instead",
+                  system_flag.c_str(), kSystemFlags.at(system_flag),
+                  scenario_path.c_str());
+        if (loop_trace)
+            fatal("--loop-trace is exclusive with --scenario; a "
+                  "scenario's trace: workloads always loop");
         const std::string err =
             loadScenarioFile(scenario_path, scenario);
         if (!err.empty())

@@ -264,9 +264,8 @@ System::frontStep(unsigned core_id, const MemAccess &acc,
                   pipe::FrontRef &fr)
 {
     Core &core = *_cores[core_id];
-    if (_cfg.contextSwitchInterval &&
-        ++core.stats.accessesSinceSwitch >=
-            _cfg.contextSwitchInterval) {
+    if (++core.stats.accessesSinceSwitch >=
+        _cfg.contextSwitchInterval) {
         core.tlb.flush();
         core.stats.accessesSinceSwitch = 0;
     }
@@ -295,14 +294,11 @@ System::tlbMiss(unsigned core_id, const pipe::FrontRef &fr, unsigned lo)
 
     // Page walk: the PTE line is fetched through the hierarchy. This
     // exists in every configuration, so it is demand traffic.
-    if (_cfg.modelPageWalks) {
-        const Addr pte_line = _pageTable.pteLine(fr.page);
-        lat += lo == 0 ? readWalk(_walker, core_id, 1, pte_line,
-                                  _metaCtx, AccessClass::Demand,
-                                  pipe::kRefPteShared)
-                       : resumeWalk(core_id, lo, fr, pte_line, _metaCtx,
-                                    pipe::kRefPteShared, 0, fr.nPteWb);
-    }
+    const Addr pte_line = _pageTable.pteLine(fr.page);
+    lat += lo == 0 ? readWalk(_walker, core_id, 1, pte_line, _metaCtx,
+                              AccessClass::Demand, pipe::kRefPteShared)
+                   : resumeWalk(core_id, lo, fr, pte_line, _metaCtx,
+                                pipe::kRefPteShared, 0, fr.nPteWb);
 
     if (_isSlip) {
         const Addr mline = _metadata.metadataLine(block);
@@ -385,7 +381,7 @@ System::tlbMiss(unsigned core_id, const pipe::FrontRef &fr, unsigned lo)
             metadataWrite(core_id, _metadata.metadataLine(eblock),
                           AccessClass::Metadata);
         }
-        if (epte.dirty && _cfg.modelPageWalks) {
+        if (epte.dirty) {
             metadataWrite(core_id, _pageTable.pteLine(fr.evictedPage),
                           AccessClass::Demand);
             epte.dirty = false;
@@ -998,7 +994,7 @@ System::frontAccessFull(Walker &w, unsigned core_id, pipe::FrontRef &fr,
     // walk, PTE writebacks, demand walk, demand writebacks.
     w.capture = &fr;
     Cycles lat = 0;
-    if ((fr.flags & pipe::kRefTlbMiss) && _cfg.modelPageWalks)
+    if (fr.flags & pipe::kRefTlbMiss)
         lat += readWalk(w, core_id, 1, _pageTable.pteLine(fr.page),
                         _metaCtx, AccessClass::Demand,
                         pipe::kRefPteShared);

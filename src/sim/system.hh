@@ -82,11 +82,7 @@ struct SystemConfig
     // Reuse-distance machinery.
     unsigned rdBinBits = 4;
     SamplingMode samplingMode = SamplingMode::TimeBased;
-    unsigned nsamp = 16;
-    unsigned nstab = 256;
     bool eouIncludeInsertion = true;
-    bool modelPageWalks = true;
-    unsigned tlbEntries = 64;
     /**
      * Pages per reuse-distance block (Section 7: the rd-block need not
      * equal the page). Distributions and SLIPs are kept per rd-block;
@@ -94,26 +90,37 @@ struct SystemConfig
      * cost of coarser policies.
      */
     unsigned rdBlockPages = 1;
+
+    // Fixed model parameters. No configuration varies them; they are
+    // members so a config reads them by name like its other fields.
+
+    /** Time-based sampling (Section 4.2): on a TLB miss a sampling
+     * page turns stable with probability 1/nsamp, a stable page
+     * resumes sampling with probability 1/nstab. */
+    static constexpr unsigned nsamp = 16;
+    static constexpr unsigned nstab = 256;
+    /** Entries of each core's TLB. */
+    static constexpr unsigned tlbEntries = 64;
     /**
      * References between full TLB flushes, modelling OS timer ticks /
      * context switches in the paper's full-system runs. Without this,
      * pages hot enough to stay TLB-resident would never make a
-     * sampling-state transition and never receive a SLIP. 0 disables.
+     * sampling-state transition and never receive a SLIP.
      */
-    std::uint64_t contextSwitchInterval = 50'000;
+    static constexpr std::uint64_t contextSwitchInterval = 50'000;
 
     // Timing / instruction-stream model. Workload generators emit the
     // post-L1-filter reference stream (DESIGN.md §1): each simulated
     // reference statistically stands for (1 + l1HitsPerMiss) L1
     // accesses and instrPerAccess retired instructions.
-    unsigned issueWidth = 4;
-    double instrPerAccess = 30.0;
+    static constexpr unsigned issueWidth = 4;
+    static constexpr double instrPerAccess = 30.0;
     /** Synthetic L1 hits represented by each simulated reference. */
-    double l1HitsPerMiss = 9.0;
+    static constexpr double l1HitsPerMiss = 9.0;
     /** Fraction of memory latency exposed as stall (OoO overlap). */
-    double stallFactor = 0.35;
+    static constexpr double stallFactor = 0.35;
     /** Fraction of movement port-busy time exposed as stall. */
-    double portContentionFactor = 0.01;
+    static constexpr double portContentionFactor = 0.01;
 
     /**
      * References (across all cores) per observability epoch; at each

@@ -74,28 +74,21 @@ getStats(const std::map<std::string, double> &kv, const std::string &p)
     return s;
 }
 
+/**
+ * The spec's config with what the RunSpec owns (the policy and the
+ * core count) and the run observation's epoch interval filled in.
+ * Observation settings live outside the spec (and its cache key):
+ * epoch accounting reads simulation state but never changes it.
+ */
 SystemConfig
-makeConfig(PolicyKind policy, const SweepOptions &opts, unsigned cores)
+runConfig(const RunSpec &spec)
 {
-    SystemConfig cfg;
-    cfg.policy = policy;
-    cfg.tech = opts.tech;
-    cfg.topology = opts.topology;
-    cfg.samplingMode = opts.samplingMode;
-    cfg.rdBinBits = opts.rdBinBits;
-    cfg.eouIncludeInsertion = opts.eouIncludeInsertion;
-    cfg.repl = opts.repl;
-    cfg.randomSublevelVictim = opts.randomSublevelVictim;
-    cfg.hierarchy = opts.hierarchy;
-    cfg.numCores = cores;
-    // Execution strategy, not configuration: any thread count yields
-    // byte-identical stats, so runThreads stays out of the cache key.
-    cfg.runThreads = opts.runThreads;
-    // Observation settings live outside the spec (and its cache key):
-    // epoch accounting reads simulation state but never changes it.
+    SystemConfig cfg = spec.opts.config;
+    cfg.policy = spec.policy;
+    cfg.numCores = spec.numCores();
     const obs::RunObservation watch = obs::runObservation();
-    if (watch.collectEpochs)
-        cfg.epochIntervalRefs = watch.epochIntervalRefs;
+    cfg.epochIntervalRefs =
+        watch.collectEpochs ? watch.epochIntervalRefs : 0;
     return cfg;
 }
 
@@ -248,35 +241,23 @@ class RunObsSession
 RunResult
 executeRun(const RunSpec &spec)
 {
-    if (spec.isMix()) {
-        System sys(makeConfig(spec.policy, spec.opts, 2));
-        RunObsSession watch(sys, spec);
-        auto s0 = makeMixSource(spec.benchmark, 0);
-        auto s1 = makeMixSource(spec.benchmarkB, 1);
-        sys.run({s0.get(), s1.get()}, spec.opts.refs, spec.opts.warmup);
-        return extract(sys);
-    }
-    if (spec.isReplicated() && spec.cores != 1) {
-        // N cores running the same benchmark in offset address spaces
-        // (the scenario `cores` semantic, true-multicore shapes).
-        System sys(makeConfig(spec.policy, spec.opts, spec.cores));
-        RunObsSession watch(sys, spec);
-        std::vector<std::unique_ptr<AccessSource>> srcs;
-        std::vector<AccessSource *> ptrs;
-        for (unsigned c = 0; c < spec.cores; ++c) {
-            srcs.push_back(makeMixSource(spec.benchmark, c));
-            ptrs.push_back(srcs.back().get());
-        }
-        sys.run(ptrs, spec.opts.refs, spec.opts.warmup);
-        return extract(sys);
-    }
-    System sys(makeConfig(spec.policy, spec.opts, 1));
+    System sys(runConfig(spec));
     RunObsSession watch(sys, spec);
-    // makeMixSource so `trace:` benchmarks resolve; for generators
-    // core 0 is a byte-identical wrap of makeSpecWorkload (seed
-    // delta and address offset are both zero at core 0).
-    auto w = makeMixSource(spec.benchmark, 0);
-    sys.run({w.get()}, spec.opts.refs, spec.opts.warmup);
+    // One source per core: a mix puts benchmarkB on core 1, a
+    // replicated run (the scenario `cores` semantic) puts the
+    // benchmark on every core in offset address spaces. makeMixSource
+    // so `trace:` benchmarks resolve; for generators core 0 is a
+    // byte-identical wrap of makeSpecWorkload (seed delta and address
+    // offset are both zero at core 0).
+    std::vector<std::unique_ptr<AccessSource>> srcs;
+    std::vector<AccessSource *> ptrs;
+    for (unsigned c = 0; c < spec.numCores(); ++c) {
+        srcs.push_back(makeMixSource(
+            c == 1 && spec.isMix() ? spec.benchmarkB : spec.benchmark,
+            c));
+        ptrs.push_back(srcs.back().get());
+    }
+    sys.run(ptrs, spec.opts.refs, spec.opts.warmup);
     return extract(sys);
 }
 

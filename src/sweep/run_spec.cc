@@ -32,32 +32,46 @@ fnv1a(const std::string &s)
 
 } // namespace
 
-SweepOptions::SweepOptions() : tech(tech45nm())
+SweepOptions::SweepOptions()
 {
     refs = envU64("SLIP_BENCH_REFS", 1'500'000);
     warmup = envU64("SLIP_BENCH_WARMUP", refs);
-    runThreads = static_cast<unsigned>(
+    config.runThreads = static_cast<unsigned>(
         envU64("SLIP_RUN_THREADS", 1));
-    if (runThreads == 0)
-        runThreads = 1;
+    if (config.runThreads == 0)
+        config.runThreads = 1;
 }
 
 std::string
 SweepOptions::key() const
 {
+    const SystemConfig &c = config;
+    if (c.tech != (c.tech.name == "22nm" ? tech22nm() : tech45nm()))
+        fatal("sweep config: tech parameters differ from the '%s' "
+              "preset, and the cache key names only the preset",
+              c.tech.name.c_str());
     // v8: keys gained the hierarchy fragment (always serialized in
     // canonical form, so classic runs from any construction path —
     // CLI, programmatic, scenario file — share entries).
     // v9: trace-driven benchmarks fold the trace file's content hash
     // into the benchmark token (see RunSpec::key), so cached results
     // can never alias across different trace files.
+    // Fields keyed after v10 add a fragment only when they differ
+    // from the default, so every earlier key keeps its spelling and
+    // its meaning.
     std::ostringstream os;
     os << kCacheKeyVersion << "_r" << refs << "_w" << warmup << "_"
-       << tech.name << "_t"
-       << int(topology) << "_s" << int(samplingMode) << "_b"
-       << rdBinBits << "_i" << eouIncludeInsertion << "_p" << int(repl)
-       << "_v" << randomSublevelVictim << "_h" << std::hex
-       << fnv1a(hierarchy.key());
+       << c.tech.name << "_t" << int(c.topology) << "_s"
+       << int(c.samplingMode) << "_b" << c.rdBinBits << "_i"
+       << c.eouIncludeInsertion << "_p" << int(c.repl) << "_v"
+       << c.randomSublevelVictim << "_h" << std::hex
+       << fnv1a(c.hierarchy.key()) << std::dec;
+    if (c.inclusiveL3)
+        os << "_incl";
+    if (c.rdBlockPages != 1)
+        os << "_rbp" << c.rdBlockPages;
+    if (c.seed != 1)
+        os << "_seed" << c.seed;
     return os.str();
 }
 

@@ -18,9 +18,6 @@
 #include <cstdint>
 #include <string>
 
-#include "cache/replacement.hh"
-#include "energy/energy_params.hh"
-#include "energy/topology.hh"
 #include "sim/policy_kind.hh"
 #include "sim/system.hh"
 
@@ -43,31 +40,25 @@ struct SweepOptions
 {
     std::uint64_t refs;
     std::uint64_t warmup;
-    TechParams tech;
-    TopologyKind topology = TopologyKind::HierBusWayInterleaved;
-    SamplingMode samplingMode = SamplingMode::TimeBased;
-    unsigned rdBinBits = 4;
-    bool eouIncludeInsertion = true;
-    ReplKind repl = ReplKind::Lru;
-    bool randomSublevelVictim = false;
     /**
-     * Cache hierarchy; empty = classic. The key serializes through
-     * HierarchySpec::key(), which canonicalizes an empty spec to the
-     * classic layout, so a scenario spelling out Table 1 and a legacy
-     * programmatic config hash to the same cache entry.
+     * The simulated system. The RunSpec owns the policy and the core
+     * count: executeRun overwrites both. key() names every other field
+     * that can change a result. runThreads (stats are byte-identical
+     * for any thread count; see System::runWindowPipelined) and
+     * epochIntervalRefs (observation only) never do, so they stay out
+     * of it. An empty hierarchy keys as the classic layout, so a
+     * scenario spelling out Table 1 and a programmatic config share a
+     * cache entry.
      */
-    HierarchySpec hierarchy;
-    /**
-     * Threads used *inside* one simulation (pipelined front-end
-     * sharding; see System::runWindowPipelined). Purely an execution
-     * strategy: stats are byte-identical for any value, so — like the
-     * observation settings — it is deliberately excluded from key().
-     */
-    unsigned runThreads = 1;
+    SystemConfig config;
 
     SweepOptions();  // reads the environment knobs
 
-    /** Stable string identifying this configuration (cache key part). */
+    /**
+     * Stable string identifying this configuration (cache key part).
+     * Fatal on a config it cannot name (tech parameters edited away
+     * from their preset) rather than alias another run's entry.
+     */
     std::string key() const;
 };
 

@@ -236,8 +236,8 @@ dumpAtThreads(SystemConfig cfg, unsigned run_threads,
     return os.str();
 }
 
-/** The classic private-L1 front levels of canonicalScenarios'
- *  hier2_flat_llc, spelled programmatically. */
+/** The classic private-L1 front levels of scenarios/hier2_flat_llc.json,
+ *  spelled programmatically. */
 LevelSpec
 privateLevel(const char *name, std::size_t size_kb, unsigned ways,
              const char *energy)

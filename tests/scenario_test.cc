@@ -5,13 +5,14 @@
  *
  *  - CLI-key round trips for the policy/topology/replacement parsers
  *    (the string<->enum dedup these registries replaced),
- *  - canonical scenarios round-trip through text and match the
- *    checked-in scenarios/ files byte-for-byte (SLIP_SCENARIO_REGEN=1
- *    rewrites them),
+ *  - every checked-in scenarios/ file parses, validates, is named
+ *    after its file, and is in canonical form (byte-identical to its
+ *    own re-serialization),
  *  - strict validation: every rejection names the offending JSON path,
  *  - malformed JSON never crashes the parser,
- *  - v9 cache keys: file-loaded and programmatic descriptions of the
- *    same configuration hash identically, one-field edits miss,
+ *  - v10 cache keys: file-loaded and programmatic descriptions of the
+ *    same configuration hash identically; a one-field edit to any
+ *    result-affecting config field misses or is rejected,
  *  - a System built from the golden scenarios reproduces the golden
  *    fixtures byte-for-byte,
  *  - 2- and 4-level scenario hierarchies run end-to-end with the
@@ -21,16 +22,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/replacement.hh"
 #include "energy/topology.hh"
 #include "obs/energy_ledger.hh"
 #include "obs/metrics.hh"
-#include "scenario/canonical.hh"
 #include "scenario/scenario.hh"
 #include "sim/policy_registry.hh"
 #include "sim/stats_dump.hh"
@@ -56,6 +59,14 @@ readFile(const std::string &path)
     std::ostringstream os;
     os << in.rdbuf();
     return os.str();
+}
+
+/** Load the checked-in scenarios/<name>.json. */
+std::string
+loadCheckedIn(const std::string &name, Scenario &s)
+{
+    return loadScenarioFile(
+        std::string(SLIP_SCENARIO_DIR) + "/" + name + ".json", s);
 }
 
 // ---------------------------------------------------------------------
@@ -111,46 +122,29 @@ TEST(ReplKindKeys, RoundTrip)
 }
 
 // ---------------------------------------------------------------------
-// Canonical scenarios: text round trips and checked-in files.
+// The checked-in scenarios: the files are the definitions.
 
-TEST(CanonicalScenarios, RoundTripThroughText)
+TEST(CheckedInScenarios, ValidAndCanonical)
 {
-    const auto all = canonicalScenarios();
-    ASSERT_GE(all.size(), 20u);
-    for (const Scenario &s : all) {
-        SCOPED_TRACE(s.name);
-        const std::string text = canonicalScenarioText(s);
-        Scenario back;
-        ASSERT_EQ(parseScenarioText(text, back), "");
-        EXPECT_EQ(back.name, s.name);
-        EXPECT_EQ(back.policy, s.policy);
-        EXPECT_EQ(back.workloads, s.workloads);
-        EXPECT_EQ(back.hierarchy, s.hierarchy);
-        // Emission is a fixed point: parse(emit(s)) emits the same
-        // bytes, so the files regenerate deterministically.
-        EXPECT_EQ(canonicalScenarioText(back), text);
-        EXPECT_EQ(validateScenario(back), "");
-    }
-}
-
-TEST(CanonicalScenarios, CheckedInFilesMatchEmitter)
-{
-    const bool regen = std::getenv("SLIP_SCENARIO_REGEN") != nullptr;
-    for (const Scenario &s : canonicalScenarios()) {
-        SCOPED_TRACE(s.name);
-        const std::string path =
-            std::string(SLIP_SCENARIO_DIR) + "/" + s.name + ".json";
-        const std::string want = canonicalScenarioText(s);
-        if (regen) {
-            std::ofstream os(path, std::ios::binary);
-            ASSERT_TRUE(bool(os)) << path;
-            os << want;
+    unsigned files = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(SLIP_SCENARIO_DIR)) {
+        const std::filesystem::path &path = entry.path();
+        if (path.extension() != ".json")
             continue;
-        }
-        EXPECT_EQ(readFile(path), want)
-            << path << " drifted from the programmatic definition; "
-            << "regenerate with SLIP_SCENARIO_REGEN=1";
+        SCOPED_TRACE(path.string());
+        ++files;
+        const std::string text = readFile(path.string());
+        Scenario s;
+        ASSERT_EQ(parseScenarioText(text, s), "");
+        EXPECT_EQ(validateScenario(s), "");
+        EXPECT_EQ(s.name, path.stem().string());
+        // Canonical form: re-serializing the parsed scenario gives the
+        // file back byte for byte, so every key the parser reads
+        // round-trips and the files never drift in formatting.
+        EXPECT_EQ(scenarioJson(s).dump() + "\n", text);
     }
+    EXPECT_GE(files, 28u);
 }
 
 // ---------------------------------------------------------------------
@@ -320,7 +314,7 @@ TEST(CacheKeyV10, EmptyAndSpelledOutClassicShareKeys)
 
     SweepOptions legacy;
     SweepOptions spelled;
-    spelled.hierarchy = HierarchySpec::classic();
+    spelled.config.hierarchy = HierarchySpec::classic();
     const RunSpec a =
         RunSpec::single("soplex", PolicyKind::Slip, legacy);
     const RunSpec b =
@@ -332,25 +326,22 @@ TEST(CacheKeyV10, EmptyAndSpelledOutClassicShareKeys)
 TEST(CacheKeyV10, FileScenarioMatchesProgrammaticConfig)
 {
     // The golden scenario spells out the classic hierarchy in JSON;
-    // a legacy programmatic SweepOptions must hit the same cache
-    // entry.
+    // its whole config (as slip-bench --scenario builds it) must hit
+    // the cache entry of a legacy programmatic SweepOptions.
     Scenario s;
-    ASSERT_EQ(loadScenarioFile(std::string(SLIP_SCENARIO_DIR) +
-                                   "/golden_soplex_slip.json",
-                               s),
-              "");
+    ASSERT_EQ(loadCheckedIn("golden_soplex_slip", s), "");
     SweepOptions file_opts;
     file_opts.refs = s.refs;
     file_opts.warmup = s.warmup;
-    file_opts.hierarchy = s.hierarchy;
+    file_opts.config = scenarioSystemConfig(s);
 
     SweepOptions prog_opts;
     prog_opts.refs = 40000;
     prog_opts.warmup = 40000;
 
-    PolicyKind pk;
-    ASSERT_TRUE(parsePolicyKind(s.policy, pk));
-    EXPECT_EQ(RunSpec::single(s.workloads[0], pk, file_opts).key(),
+    EXPECT_EQ(RunSpec::single(s.workloads[0], file_opts.config.policy,
+                              file_opts)
+                  .key(),
               RunSpec::single("soplex", PolicyKind::Slip, prog_opts)
                   .key());
 }
@@ -358,48 +349,72 @@ TEST(CacheKeyV10, FileScenarioMatchesProgrammaticConfig)
 TEST(CacheKeyV10, OneFieldEditMisses)
 {
     SweepOptions base;
-    base.hierarchy = HierarchySpec::classic();
-    const std::string k0 =
-        RunSpec::single("soplex", PolicyKind::Slip, base).key();
+    base.config.hierarchy = HierarchySpec::classic();
+    const auto key = [](const SweepOptions &o) {
+        return RunSpec::single("soplex", PolicyKind::Slip, o).key();
+    };
+    const std::string k0 = key(base);
 
+    // Each result-affecting SystemConfig field, flipped alone, must
+    // miss the base entry. Sharing-topology fields (slice count,
+    // coherence, the shared flag) are part of the v10 hierarchy key;
+    // inclusiveL3, rdBlockPages and seed add a fragment only when they
+    // leave their defaults, so keys that predate them are unchanged.
+#define FLIP(edit) {#edit, [](SystemConfig &c) { edit; }}
+    const std::pair<const char *, void (*)(SystemConfig &)> keyed[] = {
+        FLIP(c.tech = tech22nm()),
+        FLIP(c.topology = TopologyKind::HTree),
+        FLIP(c.repl = ReplKind::Rrip),
+        FLIP(c.randomSublevelVictim = true),
+        FLIP(c.inclusiveL3 = true),
+        FLIP(c.hierarchy.levels[1].ways = 8),  // still a power of two
+        FLIP(c.hierarchy.levels[2].sizeBytes *= 2),
+        FLIP(c.hierarchy.levels[1].policy = "lru-pea"),
+        FLIP(c.hierarchy.levels[2].slices = 4),
+        FLIP(c.hierarchy.levels[2].coherent = true),
+        FLIP(c.hierarchy.levels[1].isPrivate = false),
+        FLIP(c.rdBinBits = 6),
+        FLIP(c.samplingMode = SamplingMode::Always),
+        FLIP(c.eouIncludeInsertion = false),
+        FLIP(c.rdBlockPages = 4),
+        FLIP(c.seed = 2),
+    };
+#undef FLIP
+    std::set<std::string> seen = {k0};
+    for (const auto &[field, flip] : keyed) {
+        SCOPED_TRACE(field);
+        SweepOptions edit = base;
+        flip(edit.config);
+        // Distinct from the base and from every other one-field edit.
+        EXPECT_TRUE(seen.insert(key(edit)).second) << key(edit);
+    }
+
+    // The key names the technology preset, not its parameters, so an
+    // edited parameter set is rejected rather than aliased.
     SweepOptions edit = base;
-    edit.hierarchy.levels[1].ways = 8;  // still a valid power of two
-    EXPECT_NE(RunSpec::single("soplex", PolicyKind::Slip, edit).key(),
+    edit.config.tech.dramLatency += 1;
+    EXPECT_DEATH(key(edit), "tech parameters");
+
+    // The RunSpec owns the policy and the core count (its own key
+    // fields); executeRun overwrites the config's copies.
+    EXPECT_NE(RunSpec::single("soplex", PolicyKind::Baseline, base).key(),
+              k0);
+    EXPECT_NE(RunSpec::replicated("soplex", 4, PolicyKind::Slip, base)
+                  .key(),
               k0);
 
+    // Execution settings never change a result and stay out of the
+    // key, so a cached run serves any thread count or epoch interval.
     edit = base;
-    edit.hierarchy.levels[2].sizeBytes *= 2;
-    EXPECT_NE(RunSpec::single("soplex", PolicyKind::Slip, edit).key(),
-              k0);
-
+    edit.config.runThreads = 4;
+    EXPECT_EQ(key(edit), k0);
     edit = base;
-    edit.hierarchy.levels[1].policy = "lru-pea";
-    EXPECT_NE(RunSpec::single("soplex", PolicyKind::Slip, edit).key(),
-              k0);
-
-    // Sharing-topology fields are part of the v10 key: a one-field
-    // edit to the slice count or the shared flag must miss while an
-    // unrelated run still hits (cache hygiene for the NUCA work).
-    edit = base;
-    edit.hierarchy.levels[2].slices = 4;
-    EXPECT_NE(RunSpec::single("soplex", PolicyKind::Slip, edit).key(),
-              k0);
-
-    edit = base;
-    edit.hierarchy.levels[2].coherent = true;
-    EXPECT_NE(RunSpec::single("soplex", PolicyKind::Slip, edit).key(),
-              k0);
-
-    edit = base;
-    edit.hierarchy.levels[1].isPrivate = false;  // flip shared flag
-    EXPECT_NE(RunSpec::single("soplex", PolicyKind::Slip, edit).key(),
-              k0);
+    edit.config.epochIntervalRefs = 5000;
+    EXPECT_EQ(key(edit), k0);
 
     // An unrelated run is unaffected: rebuilding the identical spec
-    // reproduces the identical key, so cached classic results still
-    // hit after the sharing-topology fields joined the key format.
-    EXPECT_EQ(RunSpec::single("soplex", PolicyKind::Slip, base).key(),
-              k0);
+    // reproduces the identical key.
+    EXPECT_EQ(key(base), k0);
 }
 
 // ---------------------------------------------------------------------
@@ -418,10 +433,7 @@ TEST(ScenarioEndToEnd, GoldenScenariosReproduceGoldenFixtures)
     for (const auto &c : cases) {
         SCOPED_TRACE(c.scenario);
         Scenario s;
-        ASSERT_EQ(loadScenarioFile(std::string(SLIP_SCENARIO_DIR) +
-                                       "/" + c.scenario + ".json",
-                                   s),
-                  "");
+        ASSERT_EQ(loadCheckedIn(c.scenario, s), "");
         System sys(scenarioSystemConfig(s));
         auto src = makeMixSource(s.workloads[0], 0, s.workloadSeed);
         sys.run({src.get()}, s.refs, s.warmup);
@@ -462,10 +474,7 @@ checkScenarioRun(System &sys, std::uint64_t refs)
 TEST(ScenarioEndToEnd, TwoLevelHierarchy)
 {
     Scenario s;
-    ASSERT_EQ(loadScenarioFile(std::string(SLIP_SCENARIO_DIR) +
-                                   "/hier2_flat_llc.json",
-                               s),
-              "");
+    ASSERT_EQ(loadCheckedIn("hier2_flat_llc", s), "");
     obs::setMetricsEnabled(true);
     System sys(scenarioSystemConfig(s));
     ASSERT_EQ(sys.numLevels(), 2u);
@@ -486,10 +495,7 @@ TEST(ScenarioEndToEnd, TwoLevelHierarchy)
 TEST(ScenarioEndToEnd, FourLevelHierarchy)
 {
     Scenario s;
-    ASSERT_EQ(loadScenarioFile(std::string(SLIP_SCENARIO_DIR) +
-                                   "/hier4_deep.json",
-                               s),
-              "");
+    ASSERT_EQ(loadCheckedIn("hier4_deep", s), "");
     obs::setMetricsEnabled(true);
     System sys(scenarioSystemConfig(s));
     ASSERT_EQ(sys.numLevels(), 4u);
@@ -527,7 +533,7 @@ runScenario(const Scenario &s, unsigned run_threads)
     System sys(cfg);
     std::vector<std::unique_ptr<AccessSource>> owned;
     std::vector<AccessSource *> sources;
-    for (unsigned c = 0; c < s.cores; ++c) {
+    for (unsigned c = 0; c < s.config.numCores; ++c) {
         owned.push_back(makeMixSource(s.workloads[0], c,
                                       s.workloadSeed));
         sources.push_back(owned.back().get());
@@ -550,11 +556,8 @@ runScenario(const Scenario &s, unsigned run_threads)
 TEST(ScenarioEndToEnd, SharedCoherentLlcGolden)
 {
     Scenario s;
-    ASSERT_EQ(loadScenarioFile(std::string(SLIP_SCENARIO_DIR) +
-                                   "/hier3_shared4.json",
-                               s),
-              "");
-    ASSERT_EQ(s.cores, 4u);
+    ASSERT_EQ(loadCheckedIn("hier3_shared4", s), "");
+    ASSERT_EQ(s.config.numCores, 4u);
 
     obs::setMetricsEnabled(true);
     SystemConfig cfg = scenarioSystemConfig(s);
@@ -562,7 +565,7 @@ TEST(ScenarioEndToEnd, SharedCoherentLlcGolden)
     System sys(cfg);
     std::vector<std::unique_ptr<AccessSource>> owned;
     std::vector<AccessSource *> sources;
-    for (unsigned c = 0; c < s.cores; ++c) {
+    for (unsigned c = 0; c < s.config.numCores; ++c) {
         owned.push_back(makeMixSource(s.workloads[0], c,
                                       s.workloadSeed));
         sources.push_back(owned.back().get());

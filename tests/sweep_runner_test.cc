@@ -81,7 +81,7 @@ TEST(RunSpec, KeysDistinguishConfigurations)
     EXPECT_NE(base.key(),
               RunSpec::single("gcc", PolicyKind::Slip, opts).key());
     SweepOptions other = opts;
-    other.rdBinBits = 6;
+    other.config.rdBinBits = 6;
     EXPECT_NE(base.key(),
               RunSpec::single("gcc", PolicyKind::Baseline, other).key());
     const auto mix =

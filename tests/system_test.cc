@@ -330,12 +330,10 @@ TEST(SystemTest, ResetStatsKeepsContents)
 
 TEST(SystemTest, ContextSwitchFlushesTlb)
 {
-    SystemConfig cfg = baseConfig(PolicyKind::Baseline);
-    cfg.contextSwitchInterval = 1000;
-    System sys(cfg);
+    System sys(baseConfig(PolicyKind::Baseline));
     auto w = singlePattern(
         std::make_unique<LoopPattern>(Addr{1} << 34, 8 * 1024), 0.0);
-    sys.run({w.get()}, 50000, 0);
+    sys.run({w.get()}, 50 * SystemConfig::contextSwitchInterval, 0);
     // Two pages, always TLB-resident except after flushes: the miss
     // count tracks the flush count.
     EXPECT_GE(sys.tlb(0).flushes(), 49u);
