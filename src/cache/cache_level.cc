@@ -117,29 +117,6 @@ CacheLevel::peekBatch(const Addr *lines, std::size_t n,
         out[i] = peek(lines[i]);
 }
 
-LookupResult
-CacheLevel::lookupPrepared(AccessClass cls, const LookupResult &peeked)
-{
-    _time = (_time + 1) & (_timeWrap - 1);
-
-    if (cls == AccessClass::Demand)
-        ++_stats.demandAccesses;
-    else
-        ++_stats.metadataAccesses;
-
-    if (_cfg.movementQueueEnabled)
-        chargeEnergy(EnergyCat::Other, obs::EnergyCause::MqProbe,
-                     _mq.lookup());
-
-    if (peeked.hit) {
-        if (cls == AccessClass::Demand)
-            ++_stats.demandHits;
-        else
-            ++_stats.metadataHits;
-    }
-    return peeked;
-}
-
 Cycles
 CacheLevel::recordHit(unsigned set, unsigned way, bool is_write,
                       AccessClass cls, bool update_metadata)

@@ -241,21 +241,12 @@ class CacheLevel
     /**
      * Probe @p n line addresses with no side effects, writing one
      * LookupResult each into @p out: peek() over a chunk of
-     * references with no stats/energy bookkeeping interleaved.
+     * references. The simulator itself looks every reference up
+     * through lookup(); the only caller is perfbench's
+     * cache.l1.peek_batch_ns_per_ref replay (perfbench/harness.cc).
      */
     void peekBatch(const Addr *lines, std::size_t n,
                    LookupResult *out) const;
-
-    /**
-     * Replay the side effects of lookup(@p line, @p cls) for a probe
-     * whose tag scan was already done by peekBatch(): advances T,
-     * counts the access (and hit), and charges the movement-queue
-     * probe — everything lookup() does except the scan itself. The
-     * caller must guarantee no tag/valid state changed in this level
-     * between the peek and this call, else @p peeked is stale.
-     */
-    LookupResult lookupPrepared(AccessClass cls,
-                                const LookupResult &peeked);
 
     /**
      * Account a hit serviced from @p way: replacement touch, hit

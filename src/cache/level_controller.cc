@@ -6,22 +6,7 @@ AccessResult
 LevelController::access(Addr line, bool is_write, const PageCtx &page,
                         AccessClass cls)
 {
-    return finishAccess(_level.lookup(line, cls), is_write, page, cls);
-}
-
-AccessResult
-LevelController::accessPrepared(Addr line, bool is_write,
-                                const PageCtx &page, AccessClass cls,
-                                const LookupResult &peeked)
-{
-    (void)peeked;
-    return access(line, is_write, page, cls);
-}
-
-AccessResult
-LevelController::finishAccess(const LookupResult &lr, bool is_write,
-                              const PageCtx &page, AccessClass cls)
-{
+    const LookupResult lr = _level.lookup(line, cls);
     AccessResult res;
     if (!lr.hit)
         return res;
@@ -37,16 +22,6 @@ LevelController::finishAccess(const LookupResult &lr, bool is_write,
     res.latency = _level.recordHit(lr.setIndex, lr.way, is_write, cls,
                                    page.collectRd);
     return res;
-}
-
-AccessResult
-BaselineController::accessPrepared(Addr line, bool is_write,
-                                   const PageCtx &page, AccessClass cls,
-                                   const LookupResult &peeked)
-{
-    (void)line;
-    return finishAccess(_level.lookupPrepared(cls, peeked), is_write,
-                        page, cls);
 }
 
 bool

@@ -75,27 +75,6 @@ class LevelController
                                 const PageCtx &page, AccessClass cls);
 
     /**
-     * access() for a reference whose tag scan was already done by
-     * CacheLevel::peekBatch. The base implementation ignores @p peeked
-     * and re-runs access() — always correct, so controllers that
-     * override access() (the NUCA policies) need no changes. Only
-     * controllers reporting prefersPrepared() skip the rescan;
-     * @p peeked must then reflect the level's current tag state.
-     */
-    virtual AccessResult accessPrepared(Addr line, bool is_write,
-                                        const PageCtx &page,
-                                        AccessClass cls,
-                                        const LookupResult &peeked);
-
-    /**
-     * True when accessPrepared actually consumes the pre-computed
-     * probe. The per-access loop only batch-probes a level whose
-     * controller opts in; for everyone else peekBatch would be pure
-     * wasted work on top of the controller's own scan.
-     */
-    virtual bool prefersPrepared() const { return false; }
-
-    /**
      * Install a line arriving from the next level (demand fill) or
      * from the level above (writeback that missed here). May bypass.
      * Displaced/evicted lines are appended to @p out; dirty ones must
@@ -109,14 +88,6 @@ class LevelController
                       std::vector<Eviction> &out) = 0;
 
   protected:
-    /**
-     * Post-lookup bookkeeping shared by access()/accessPrepared():
-     * reuse-distance measurement (before the hit refreshes TL) and
-     * recordHit on a hit.
-     */
-    AccessResult finishAccess(const LookupResult &lr, bool is_write,
-                              const PageCtx &page, AccessClass cls);
-
     CacheLevel &_level;
     unsigned _idx;
 };
@@ -129,12 +100,6 @@ class BaselineController : public LevelController
     using LevelController::LevelController;
 
     const char *name() const override { return "baseline"; }
-
-    AccessResult accessPrepared(Addr line, bool is_write,
-                                const PageCtx &page, AccessClass cls,
-                                const LookupResult &peeked) override;
-
-    bool prefersPrepared() const override { return true; }
 
     bool fill(Addr line, bool dirty, const PageCtx &page,
               std::vector<Eviction> &out) override;

@@ -83,9 +83,6 @@ usage()
         "                      Chrome/Perfetto trace-event JSON\n"
         "  --epoch-interval N  epoch length in references for the\n"
         "                      --report energy series (default 50000)\n"
-        "  --dump-trace FILE   also record core 0's reference stream\n"
-        "                      to a SLIPTRC2 trace (replayable via\n"
-        "                      --trace; .gz compresses)\n"
         "  --list              list available benchmarks\n"
         "All options also accept the --flag=value form.\n");
 }
@@ -114,7 +111,7 @@ int
 main(int argc, char **argv)
 {
     std::string benchn, trace_path, scenario_path, stats_path,
-        dump_path, report_path, trace_out_path;
+        report_path, trace_out_path;
     bool loop_trace = false;
     bool refs_set = false, warmup_set = false, seed_set = false;
     unsigned run_threads = 0;  // 0 = not given on the command line
@@ -226,8 +223,6 @@ main(int argc, char **argv)
                 std::strtoull(value().c_str(), nullptr, 0);
             if (epoch_interval == 0)
                 fatal("--epoch-interval must be positive");
-        } else if (arg == "--dump-trace") {
-            dump_path = value();
         } else {
             std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
             usage();
@@ -313,39 +308,6 @@ main(int argc, char **argv)
         sources.push_back(owned.back().get());
     }
 
-    // Optionally tee core 0's stream into a replayable trace file.
-    class TeeSource : public AccessSource
-    {
-      public:
-        TeeSource(AccessSource &inner, TraceWriter &writer)
-            : _inner(inner), _writer(writer)
-        {}
-        bool
-        next(MemAccess &out) override
-        {
-            if (!_inner.next(out))
-                return false;
-            _writer.append(out);
-            return true;
-        }
-        void reset() override { _inner.reset(); }
-
-      private:
-        AccessSource &_inner;
-        TraceWriter &_writer;
-    };
-    std::unique_ptr<TraceWriter> dump_writer;
-    std::unique_ptr<TeeSource> tee;
-    if (!dump_path.empty()) {
-        std::string werr;
-        dump_writer = TraceWriter::create(
-            dump_path, TraceFormat::Sliptrc2, 1, &werr);
-        if (!dump_writer)
-            fatal("%s", werr.c_str());
-        tee = std::make_unique<TeeSource>(*sources[0], *dump_writer);
-        sources[0] = tee.get();
-    }
-
     const std::string what = !scenario_path.empty()
                                  ? "scenario " + scenario.name
                                  : trace_path.empty() ? benchn
@@ -360,16 +322,6 @@ main(int argc, char **argv)
     sys.run(sources, refs, warmup);
     const double run_seconds =
         obs::monotonicSecondsBetween(run_t0, obs::monotonicNowNs());
-
-    if (dump_writer) {
-        const std::string werr = dump_writer->close();
-        if (!werr.empty())
-            fatal("%s", werr.c_str());
-        inform("trace written to %s (%llu records)",
-               dump_path.c_str(),
-               static_cast<unsigned long long>(
-                   dump_writer->written()));
-    }
 
     if (!stats_path.empty()) {
         std::ofstream os(stats_path);

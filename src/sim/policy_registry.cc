@@ -1,92 +1,50 @@
 #include "sim/policy_registry.hh"
 
-#include <algorithm>
-#include <map>
-#include <mutex>
+#include <vector>
 
 #include "nuca/lru_pea.hh"
 #include "nuca/nurapid.hh"
 #include "sim/policy_kind.hh"
 #include "slip/slip_controller.hh"
-#include "util/logging.hh"
 
 namespace slip {
 
 namespace {
 
-struct Registry
+std::unique_ptr<LevelController>
+makeSlip(CacheLevel &level, unsigned slot, const LevelPolicyArgs &args)
 {
-    std::mutex mtx;
-    std::map<std::string, LevelPolicyInfo> entries;
-};
-
-LevelPolicyInfo
-builtin(const char *name, bool is_slip, bool is_abp, bool mq,
-        std::function<std::unique_ptr<LevelController>(
-            CacheLevel &, unsigned, const LevelPolicyArgs &)>
-            make)
-{
-    LevelPolicyInfo info;
-    info.name = name;
-    info.slip = is_slip;
-    info.abp = is_abp;
-    info.movementQueue = mq;
-    info.make = std::move(make);
-    return info;
+    return std::make_unique<SlipController>(level, slot,
+                                            args.randomSublevelVictim,
+                                            args.systemSeed * 13 + slot);
 }
 
-Registry &
-registry()
+/** The built-in policies; immutable, so lookups need no lock. */
+const std::vector<LevelPolicyInfo> &
+policies()
 {
-    static Registry *r = [] {
-        auto *reg = new Registry;
-        auto add = [&](LevelPolicyInfo info) {
-            reg->entries.emplace(info.name, std::move(info));
-        };
-        add(builtin("baseline", false, false, false,
-                    [](CacheLevel &level, unsigned slot,
-                       const LevelPolicyArgs &) {
-                        return std::make_unique<BaselineController>(
-                            level, slot);
-                    }));
-        add(builtin("nurapid", false, false, true,
-                    [](CacheLevel &level, unsigned slot,
-                       const LevelPolicyArgs &) {
-                        return std::make_unique<NuRapidController>(
-                            level, slot);
-                    }));
-        add(builtin("lru-pea", false, false, true,
-                    [](CacheLevel &level, unsigned slot,
-                       const LevelPolicyArgs &args) {
-                        return std::make_unique<LruPeaController>(
-                            level, slot, args.systemSeed * 17 + 3);
-                    }));
-        auto make_slip = [](CacheLevel &level, unsigned slot,
-                            const LevelPolicyArgs &args) {
-            return std::make_unique<SlipController>(
-                level, slot, args.randomSublevelVictim,
-                args.systemSeed * 13 + slot);
-        };
-        add(builtin("slip", true, false, true, make_slip));
-        add(builtin("slip+abp", true, true, true, make_slip));
-        return reg;
-    }();
-    return *r;
+    static const std::vector<LevelPolicyInfo> table = {
+        {"baseline", false, false, false,
+         [](CacheLevel &level, unsigned slot, const LevelPolicyArgs &) {
+             return std::make_unique<BaselineController>(level, slot);
+         }},
+        {"nurapid", false, false, true,
+         [](CacheLevel &level, unsigned slot, const LevelPolicyArgs &) {
+             return std::make_unique<NuRapidController>(level, slot);
+         }},
+        {"lru-pea", false, false, true,
+         [](CacheLevel &level, unsigned slot,
+            const LevelPolicyArgs &args) {
+             return std::make_unique<LruPeaController>(
+                 level, slot, args.systemSeed * 17 + 3);
+         }},
+        {"slip", true, false, true, makeSlip},
+        {"slip+abp", true, true, true, makeSlip},
+    };
+    return table;
 }
 
 } // namespace
-
-void
-registerLevelPolicy(LevelPolicyInfo info)
-{
-    slip_assert(!info.name.empty() && info.make,
-                "policy registration needs a name and a factory");
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mtx);
-    const bool inserted =
-        r.entries.emplace(info.name, std::move(info)).second;
-    slip_assert(inserted, "duplicate policy registration");
-}
 
 const LevelPolicyInfo *
 findLevelPolicy(const std::string &name)
@@ -96,21 +54,10 @@ findLevelPolicy(const std::string &name)
     PolicyKind kind;
     if (parsePolicyKind(name, kind))
         key = policyCliName(kind);
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mtx);
-    auto it = r.entries.find(key);
-    return it == r.entries.end() ? nullptr : &it->second;
-}
-
-std::vector<std::string>
-levelPolicyNames()
-{
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mtx);
-    std::vector<std::string> names;
-    for (const auto &kv : r.entries)
-        names.push_back(kv.first);
-    return names;
+    for (const LevelPolicyInfo &info : policies())
+        if (info.name == key)
+            return &info;
+    return nullptr;
 }
 
 } // namespace slip

@@ -1,15 +1,15 @@
 /**
  * @file
- * String-keyed registry of level-management policies.
+ * String-keyed table of level-management policies.
  *
  * Scenario files and LevelSpecs name their insertion/movement policy
  * by key ("baseline", "nurapid", "lru-pea", "slip", "slip+abp");
  * System resolves the key here instead of switching on PolicyKind,
- * so new policies plug in by registering a factory — no enum edits,
- * no System changes. Entries also carry the traits System needs to
- * wire a level: whether the policy consumes a reuse-distance slot
- * (SLIP family), whether its EOU pool includes the all-bypass
- * candidate, and whether the level needs a movement queue.
+ * so a new policy is one more table entry — no enum edits, no System
+ * changes. Entries also carry the traits System needs to wire a
+ * level: whether the policy consumes a reuse-distance slot (SLIP
+ * family), whether its EOU pool includes the all-bypass candidate,
+ * and whether the level needs a movement queue.
  */
 
 #ifndef SLIP_SIM_POLICY_REGISTRY_HH
@@ -18,7 +18,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cache/level_controller.hh"
 
@@ -35,10 +34,10 @@ struct LevelPolicyArgs
     std::uint64_t systemSeed = 1;
 };
 
-/** One registered policy. */
+/** One policy of the table. */
 struct LevelPolicyInfo
 {
-    std::string name;          ///< registry key (canonical CLI form)
+    std::string name;          ///< table key (canonical CLI form)
     bool slip = false;         ///< consumes an RD slot + EOU
     bool abp = false;          ///< EOU pool includes all-bypass
     bool movementQueue = false;  ///< level needs a movement queue
@@ -51,20 +50,11 @@ struct LevelPolicyInfo
 };
 
 /**
- * Register a policy. Fatal on duplicate keys. Call before any System
- * is built with the new key; typically from a static initializer.
- */
-void registerLevelPolicy(LevelPolicyInfo info);
-
-/**
  * Look up a policy by key (historical aliases like "slip-abp" are
  * normalized first). Returns nullptr for unknown keys; the pointer
  * stays valid for the process lifetime.
  */
 const LevelPolicyInfo *findLevelPolicy(const std::string &name);
-
-/** All registered keys, sorted (for error messages and --list). */
-std::vector<std::string> levelPolicyNames();
 
 } // namespace slip
 

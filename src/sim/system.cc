@@ -188,18 +188,6 @@ System::System(const SystemConfig &cfg)
     SLIP_CHECK(_coherentLevel < 0 ||
                static_cast<unsigned>(_coherentLevel) == _firstShared);
 
-    // SoA batch tag probes only pay off when the level-0 controller
-    // consumes pre-computed probes (see _batchProbe in the header).
-    _batchProbe = true;
-    for (const auto &ctrl : _levels[0].ctrls)
-        _batchProbe = _batchProbe && ctrl->prefersPrepared();
-    if (_batchProbe) {
-        _l1ProbeEpoch.assign(_levels[0].units.size(), 0);
-        _l1SetStamp.resize(_levels[0].units.size());
-        for (std::size_t u = 0; u < _levels[0].units.size(); ++u)
-            _l1SetStamp[u].assign(_levels[0].units[u]->numSets(), 0);
-    }
-
     // Post-construction hierarchy sanity (resolveHierarchy validated
     // the spec; these state what the built System relies on).
     SLIP_CHECK(_slipLevels.size() <= kMaxSlipLevels);
@@ -213,9 +201,6 @@ System::System(const SystemConfig &cfg)
                                "level %u breaks the private-prefix / "
                                "shared-suffix boundary at %u", i,
                                _firstShared));
-    SLIP_CHECK(!_batchProbe ||
-               (_l1ProbeEpoch.size() == _levels[0].units.size() &&
-                _l1SetStamp.size() == _levels[0].units.size()));
 }
 
 System::~System() = default;
@@ -496,8 +481,6 @@ System::drainEvictions(Walker &w, unsigned i, unsigned core_id)
         if (lvl.spec.inclusive) {
             // Back-invalidate upper-level copies; a dirty copy there
             // must reach the next level since this entry is gone.
-            // Level-0 invalidations stamp the set so a pre-computed
-            // batch probe of it is discarded (touchL1Set).
             for (unsigned j = 0; j < i; ++j) {
                 Level &upper = _levels[j];
                 if (upper.spec.shared) {
@@ -505,10 +488,6 @@ System::drainEvictions(Walker &w, unsigned i, unsigned core_id)
                     upper.unit(core_id, ev.lineAddr)
                         .invalidate(ev.lineAddr, &d);
                     dirty = dirty || d;
-                    if (j == 0)
-                        touchL1Set(upper.unitIndex(core_id,
-                                                   ev.lineAddr),
-                                   ev.lineAddr);
                 } else if (lvl.spec.shared) {
                     // Shared level evicting: any core may hold it.
                     for (unsigned u = 0;
@@ -517,15 +496,11 @@ System::drainEvictions(Walker &w, unsigned i, unsigned core_id)
                         bool d = false;
                         upper.units[u]->invalidate(ev.lineAddr, &d);
                         dirty = dirty || d;
-                        if (j == 0)
-                            touchL1Set(u, ev.lineAddr);
                     }
                 } else {
                     bool d = false;
                     upper.units[core_id]->invalidate(ev.lineAddr, &d);
                     dirty = dirty || d;
-                    if (j == 0)
-                        touchL1Set(core_id, ev.lineAddr);
                 }
             }
             // Inclusivity post-condition: no copy remains in any unit
@@ -559,7 +534,7 @@ System::drainEvictions(Walker &w, unsigned i, unsigned core_id)
 
 [[gnu::always_inline]] inline Cycles
 System::level0Step(Walker &w, unsigned core_id, pipe::FrontRef &fr,
-                   const PageCtx &ctx, const LookupResult *peeked)
+                   const PageCtx &ctx)
 {
     Level &l0 = _levels[0];
     const unsigned u0 = l0.spec.shared ? 0 : core_id;
@@ -573,23 +548,7 @@ System::level0Step(Walker &w, unsigned core_id, pipe::FrontRef &fr,
                     _l1RefPj);
 
     PageCtx l1ctx;  // the innermost level is SLIP-agnostic
-    AccessResult r1;
-    if (peeked &&
-        _l1SetStamp[u0][peeked->setIndex] != _l1ProbeEpoch[u0]) {
-        // Stamp-staleness protocol: a consumed batch probe must still
-        // match what a fresh tag scan of the set would return.
-        SLIP_CHECK_EXPENSIVE(
-            const LookupResult fresh = l1.peek(fr.line);
-            SLIP_CHECK_MSG(fresh.hit == peeked->hit &&
-                               fresh.setIndex == peeked->setIndex &&
-                               (!fresh.hit || fresh.way == peeked->way),
-                           "stale batch probe consumed for line %llx",
-                           static_cast<unsigned long long>(fr.line)));
-        r1 = l1ctrl.accessPrepared(fr.line, is_write, l1ctx,
-                                   AccessClass::Demand, *peeked);
-    } else
-        r1 = l1ctrl.access(fr.line, is_write, l1ctx, AccessClass::Demand);
-    if (r1.hit) {
+    if (l1ctrl.access(fr.line, is_write, l1ctx, AccessClass::Demand).hit) {
         fr.flags |= pipe::kRefL1Hit;
         return 0;
     }
@@ -597,7 +556,6 @@ System::level0Step(Walker &w, unsigned core_id, pipe::FrontRef &fr,
                                 AccessClass::Demand,
                                 pipe::kRefDemandShared);
     l1ctrl.fill(fr.line, is_write, ctx, w.evs[0]);
-    touchL1Set(u0, fr.line);
     drainEvictions(w, 0, core_id);
     return lat;
 }
@@ -609,12 +567,11 @@ System::access(unsigned core_id, const MemAccess &acc)
                 core_id);
     pipe::FrontRef fr;
     frontStep(core_id, acc, fr);
-    accessImpl(core_id, fr, nullptr, 0);
+    accessImpl(core_id, fr, 0);
 }
 
 void
-System::accessImpl(unsigned core_id, pipe::FrontRef &fr,
-                   const LookupResult *peeked, unsigned lo)
+System::accessImpl(unsigned core_id, pipe::FrontRef &fr, unsigned lo)
 {
     SLIP_CHECK_MSG(fr.nPteWb <= fr.nWb && fr.nWb <= pipe::kMaxFrontWb,
                    "merge descriptor writeback counts out of range "
@@ -631,7 +588,7 @@ System::accessImpl(unsigned core_id, pipe::FrontRef &fr,
     const PageCtx ctx = pageCtx(fr.page);
     perf::ScopedPhase walk_scope(perf::Phase::CacheWalk);
     if (lo == 0)
-        lat += level0Step(_walker, core_id, fr, ctx, peeked);
+        lat += level0Step(_walker, core_id, fr, ctx);
     else if (!(fr.flags & pipe::kRefL1Hit))
         lat += resumeWalk(core_id, lo, fr, fr.line, ctx,
                           pipe::kRefDemandShared, fr.nPteWb, fr.nWb);
@@ -701,9 +658,7 @@ System::coherenceDemand(unsigned core_id, Addr line, bool is_write)
              j < static_cast<unsigned>(_coherentLevel); ++j) {
             // Every level above the coherence point is private
             // (validated in resolveHierarchy), so the sharer's copy
-            // can only live in its own per-core units. Level-0
-            // invalidations stamp the set so a pipelined front-end's
-            // pre-computed batch probe of it is discarded.
+            // can only live in its own per-core units.
             CacheLevel &priv = *_levels[j].units[c];
             priv.chargeEnergy(EnergyCat::Metadata,
                               obs::EnergyCause::Coherence,
@@ -711,8 +666,6 @@ System::coherenceDemand(unsigned core_id, Addr line, bool is_write)
             bool d = false;
             priv.invalidate(line, &d);
             dirty = dirty || d;
-            if (j == 0)
-                touchL1Set(c, line);
         }
         inval_ctr.add();
         ++_cohInvalidations;
@@ -895,17 +848,6 @@ System::runWindow(const std::vector<AccessSource *> &sources,
     std::vector<std::vector<MemAccess>> buf(
         ncores, std::vector<MemAccess>(kChunk));
     std::vector<std::size_t> got(ncores, 0);
-
-    // SoA batch tag probes (see _batchProbe): pre-probe each chunk's
-    // level-0 lookups in one vectorizable pass per core, then consume
-    // the results per reference unless the set was mutated meanwhile.
-    std::vector<std::vector<Addr>> lines;
-    std::vector<std::vector<LookupResult>> peeked;
-    if (_batchProbe) {
-        lines.assign(ncores, std::vector<Addr>(kChunk));
-        peeked.assign(ncores, std::vector<LookupResult>(kChunk));
-    }
-    const bool l0_shared = _levels[0].spec.shared;
     pipe::FrontRef fr;
 
     std::uint64_t remaining = accesses_per_core;
@@ -917,23 +859,11 @@ System::runWindow(const std::vector<AccessSource *> &sources,
             for (unsigned c = 0; c < ncores; ++c)
                 got[c] = sources[c]->nextBatch(buf[c].data(), n);
         }
-        if (_batchProbe) {
-            for (auto &epoch : _l1ProbeEpoch)
-                ++epoch;
-            for (unsigned c = 0; c < ncores; ++c) {
-                const unsigned u = l0_shared ? 0 : c;
-                for (std::size_t i = 0; i < got[c]; ++i)
-                    lines[c][i] = lineAddr(buf[c][i].addr);
-                _levels[0].units[u]->peekBatch(
-                    lines[c].data(), got[c], peeked[c].data());
-            }
-        }
         for (std::size_t i = 0; i < n; ++i) {
             for (unsigned c = 0; c < ncores; ++c) {
                 if (i < got[c]) {
                     frontStep(c, buf[c][i], fr);
-                    accessImpl(c, fr,
-                               _batchProbe ? &peeked[c][i] : nullptr, 0);
+                    accessImpl(c, fr, 0);
                 }
             }
         }
@@ -986,8 +916,7 @@ System::fullFrontEligible() const
 }
 
 void
-System::frontAccessFull(Walker &w, unsigned core_id, pipe::FrontRef &fr,
-                        const LookupResult *peeked)
+System::frontAccessFull(Walker &w, unsigned core_id, pipe::FrontRef &fr)
 {
     // The worker's walker stops at _firstShared; what crosses it is
     // captured in fr for accessImpl to resume in serial order: PTE
@@ -999,7 +928,7 @@ System::frontAccessFull(Walker &w, unsigned core_id, pipe::FrontRef &fr,
                         _metaCtx, AccessClass::Demand,
                         pipe::kRefPteShared);
     fr.nPteWb = fr.nWb;
-    lat += level0Step(w, core_id, fr, pageCtx(fr.page), peeked);
+    lat += level0Step(w, core_id, fr, pageCtx(fr.page));
     fr.frontLat = lat;
 }
 
@@ -1048,12 +977,6 @@ System::runWindowPipelined(const std::vector<AccessSource *> &sources,
             perf::ScopedPhase front_scope(perf::Phase::FrontEnd);
             Walker walker(_levels.size(), _firstShared);
             std::vector<MemAccess> buf(kChunk);
-            std::vector<Addr> lines(kChunk);
-            std::vector<LookupResult> peeked(kChunk);
-            // Full-front owns its cores' level-0 units outright, so
-            // the SoA batch probe works there like in the serial loop
-            // (per-core stamp words; no cross-thread mutators).
-            const bool probe = full_front && _batchProbe;
             std::uint64_t remaining = accesses_per_core;
             while (remaining > 0) {
                 const std::size_t n = static_cast<std::size_t>(
@@ -1065,21 +988,12 @@ System::runWindowPipelined(const std::vector<AccessSource *> &sources,
                             perf::Phase::WorkloadGen);
                         got = sources[c]->nextBatch(buf.data(), n);
                     }
-                    if (probe) {
-                        ++_l1ProbeEpoch[c];
-                        for (std::size_t i = 0; i < got; ++i)
-                            lines[i] = lineAddr(buf[i].addr);
-                        _levels[0].units[c]->peekBatch(
-                            lines.data(), got, peeked.data());
-                    }
                     for (std::size_t i = 0; i < n; ++i) {
                         pipe::FrontRef fr;
                         if (i < got) {
                             frontStep(c, buf[i], fr);
                             if (full_front)
-                                frontAccessFull(walker, c, fr,
-                                                probe ? &peeked[i]
-                                                      : nullptr);
+                                frontAccessFull(walker, c, fr);
                         }
                         // Absent slots still cross the queue so the
                         // merge stays aligned with the serial chunk
@@ -1107,7 +1021,7 @@ System::runWindowPipelined(const std::vector<AccessSource *> &sources,
                 for (unsigned c = 0; c < ncores; ++c) {
                     queues[c]->pop(fr);
                     if (fr.flags & pipe::kRefPresent)
-                        accessImpl(c, fr, nullptr, lo);
+                        accessImpl(c, fr, lo);
                 }
             }
             remaining -= n;

@@ -197,14 +197,9 @@ class System
         return _levels[i].spec.name;
     }
     bool levelShared(unsigned i) const { return _levels[i].spec.shared; }
-    bool levelSlip(unsigned i) const { return _levels[i].slot >= 0; }
     unsigned levelSlices(unsigned i) const
     {
         return _levels[i].spec.slices;
-    }
-    bool levelCoherent(unsigned i) const
-    {
-        return _levels[i].spec.coherent;
     }
 
     /** Units backing level @p i (numCores private, slices shared). */
@@ -357,13 +352,6 @@ class System
     /** Logical access tick (trace timestamp domain). */
     std::uint64_t accessTick() const { return _accessTick; }
 
-    /** Level-1 (summed over cores) / last-level energy ledgers. */
-    obs::EnergyLedger l2Ledger() const { return levelLedger(1); }
-    const obs::EnergyLedger &l3Ledger() const
-    {
-        return level(numLevels() - 1, 0).stats().causePj;
-    }
-
   private:
     struct Core
     {
@@ -445,10 +433,8 @@ class System
 
     /** Everything after the front step, on the calling thread, from
      * level 0 (@p lo == 0) or — when a full-front worker already
-     * walked the private levels — from level @p lo; @p peeked is an
-     * optional pre-computed level-0 probe from peekBatch. */
-    void accessImpl(unsigned core_id, pipe::FrontRef &fr,
-                    const LookupResult *peeked, unsigned lo);
+     * walked the private levels — from level @p lo. */
+    void accessImpl(unsigned core_id, pipe::FrontRef &fr, unsigned lo);
 
     /** TLB-miss work after the insert: page walk (resumed from
      * @p lo as in accessImpl), sampling transition, metadata fetch,
@@ -456,10 +442,10 @@ class System
     Cycles tlbMiss(unsigned core_id, const pipe::FrontRef &fr,
                    unsigned lo);
 
-    /** Level-0 access (with the batch-probe staleness check); on a
-     * miss the demand walk below it, the fill, and the drain. */
+    /** Level-0 access; on a miss the demand walk below it, the
+     * fill, and the drain. */
     Cycles level0Step(Walker &w, unsigned core_id, pipe::FrontRef &fr,
-                      const PageCtx &ctx, const LookupResult *peeked);
+                      const PageCtx &ctx);
 
     /**
      * Allocating read of @p line over levels [lo, w.bound) with fills
@@ -504,8 +490,8 @@ class System
 
     /** A full-front worker's share of one reference after the front
      * step: the private part of the PTE walk and the level-0 step. */
-    void frontAccessFull(Walker &w, unsigned core_id, pipe::FrontRef &fr,
-                         const LookupResult *peeked);
+    void frontAccessFull(Walker &w, unsigned core_id,
+                         pipe::FrontRef &fr);
 
     /** Merge-stage end of a walk a full-front worker started: the
      * walk from @p lo when the worker's crossed (@p cross in
@@ -536,16 +522,6 @@ class System
     /** Record one reuse-distance observation for a page at a slot. */
     void recordRd(const PageCtx &ctx, int slot, int bin);
 
-    /** Mark level-0 unit @p u's set holding @p line as mutated since
-     * the current chunk's batch probe (batch-probe staleness). */
-    void
-    touchL1Set(unsigned u, Addr line)
-    {
-        if (_batchProbe)
-            _l1SetStamp[u][_levels[0].units[u]->setIndex(line)] =
-                _l1ProbeEpoch[u];
-    }
-
     SystemConfig _cfg;
 
     // Immutable-config values hoisted out of the per-access path.
@@ -554,20 +530,6 @@ class System
     double _l1RefPj;         ///< l1HitsPerMiss * l1AccessPj
     unsigned _rdBlockPages;
     Cycles _l1Latency = 4;   ///< level 0 baseline latency
-
-    // SoA batch tag probes: the run loop pre-probes each chunk's
-    // level-0 lookups in one vectorizable pass (CacheLevel::peekBatch)
-    // and replays the side effects per reference via accessPrepared.
-    // A probe is discarded when its set was mutated after the probe:
-    // every level-0 tag/valid mutation stamps the set with the current
-    // probe epoch (touchL1Set), and a reference whose set carries the
-    // current epoch falls back to a normal lookup. The epoch bumps
-    // once per chunk; a wrapped stamp aliases to "stale", which is
-    // merely conservative. Enabled only when the level-0 controller
-    // consumes prepared probes (BaselineController).
-    bool _batchProbe = false;
-    std::vector<std::vector<std::uint32_t>> _l1SetStamp;  ///< [unit][set]
-    std::vector<std::uint32_t> _l1ProbeEpoch;             ///< [unit]
 
     /** First shared level index (== numLevels() when none is shared
      * or a private level sits below a shared one). */

@@ -47,8 +47,7 @@ SweepRunner::enqueue(const RunSpec &spec)
             memo_ctr.add();
             return it->second;
         }
-        Task task;
-        task.spec = spec;
+        Task task{spec, {}};
         fut = task.promise.get_future().share();
         _memo.emplace(key, fut);
         _queue.push_back(std::move(task));
@@ -102,25 +101,22 @@ SweepRunner::setStart(StartFn fn)
 void
 SweepRunner::workerLoop()
 {
+    std::unique_lock<std::mutex> lock(_mu);
     for (;;) {
-        Task task;
-        {
-            std::unique_lock<std::mutex> lock(_mu);
-            _queueCv.wait(lock,
-                          [this] { return _stop || !_queue.empty(); });
-            if (_queue.empty())
-                return;  // only on stop
-            task = std::move(_queue.front());
-            _queue.pop_front();
-            ++_inFlight;
-        }
+        _queueCv.wait(lock, [this] { return _stop || !_queue.empty(); });
+        if (_queue.empty())
+            return;  // only on stop
+        // Move-construct the task: a default-constructed one would run
+        // SweepOptions(), whose getenv races a caller's setenv.
+        Task task = std::move(_queue.front());
+        _queue.pop_front();
+        ++_inFlight;
+        lock.unlock();
         execute(task);
-        {
-            std::unique_lock<std::mutex> lock(_mu);
-            --_inFlight;
-            if (_queue.empty() && _inFlight == 0)
-                _idleCv.notify_all();
-        }
+        lock.lock();
+        --_inFlight;
+        if (_queue.empty() && _inFlight == 0)
+            _idleCv.notify_all();
     }
 }
 

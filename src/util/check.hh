@@ -5,9 +5,9 @@
  * SLIP_CHECK(cond) and SLIP_CHECK_MSG(cond, fmt, ...) state internal
  * invariants — inclusivity after a back-invalidation sweep, SPSC queue
  * occupancy bounds, ledger-sums-to-golden-totals, hierarchy-spec
- * validity, batch-probe stamp freshness — that are too expensive or
- * too numerous for the always-on slip_assert (util/logging.hh), which
- * remains the right tool for cheap checks guarding undefined behavior.
+ * validity — that are too expensive or too numerous for the always-on
+ * slip_assert (util/logging.hh), which remains the right tool for
+ * cheap checks guarding undefined behavior.
  *
  * Enablement is a build-wide switch: configure with
  * `-DSLIP_CHECK_INVARIANTS=ON` (CMake option; defines

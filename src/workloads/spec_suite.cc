@@ -1,7 +1,6 @@
 #include "workloads/spec_suite.hh"
 
 #include <functional>
-#include <mutex>
 
 #include "util/logging.hh"
 #include "workloads/trace_workload.hh"
@@ -27,7 +26,7 @@ nameSeed(const std::string &name, std::uint64_t seed)
     return std::hash<std::string>{}(name) * 0x9e3779b97f4a7c15ull + seed;
 }
 
-using Builder = std::function<std::unique_ptr<Workload>(std::uint64_t)>;
+using Builder = std::unique_ptr<Workload> (*)(std::uint64_t);
 
 /**
  * Component kinds for the declarative benchmark table.
@@ -375,29 +374,6 @@ builders()
     return b;
 }
 
-/**
- * The mutable workload registry: seeded with the paper's suite,
- * extended by registerWorkload. Guarded because sweep workers build
- * workloads concurrently.
- */
-struct WorkloadRegistry
-{
-    std::mutex mtx;
-    std::vector<std::pair<std::string, WorkloadBuilder>> entries;
-};
-
-WorkloadRegistry &
-workloadRegistry()
-{
-    static WorkloadRegistry *r = [] {
-        auto *reg = new WorkloadRegistry;
-        for (const auto &kv : builders())
-            reg->entries.emplace_back(kv.first, kv.second);
-        return reg;
-    }();
-    return *r;
-}
-
 } // namespace
 
 const std::vector<std::string> &
@@ -412,39 +388,13 @@ specBenchmarks()
     return names;
 }
 
-void
-registerWorkload(const std::string &name, WorkloadBuilder builder)
-{
-    slip_assert(!name.empty() && builder,
-                "workload registration needs a name and a builder");
-    WorkloadRegistry &r = workloadRegistry();
-    std::lock_guard<std::mutex> lock(r.mtx);
-    for (const auto &kv : r.entries)
-        if (kv.first == name)
-            fatal("duplicate workload registration '%s'", name.c_str());
-    r.entries.emplace_back(name, std::move(builder));
-}
-
 bool
 isKnownWorkload(const std::string &name)
 {
-    WorkloadRegistry &r = workloadRegistry();
-    std::lock_guard<std::mutex> lock(r.mtx);
-    for (const auto &kv : r.entries)
+    for (const auto &kv : builders())
         if (kv.first == name)
             return true;
     return false;
-}
-
-std::vector<std::string>
-workloadNames()
-{
-    WorkloadRegistry &r = workloadRegistry();
-    std::lock_guard<std::mutex> lock(r.mtx);
-    std::vector<std::string> names;
-    for (const auto &kv : r.entries)
-        names.push_back(kv.first);
-    return names;
 }
 
 const std::vector<std::string> &
@@ -460,16 +410,9 @@ figure1Benchmarks()
 std::unique_ptr<Workload>
 makeSpecWorkload(const std::string &name, std::uint64_t seed)
 {
-    WorkloadBuilder builder;
-    {
-        WorkloadRegistry &r = workloadRegistry();
-        std::lock_guard<std::mutex> lock(r.mtx);
-        for (const auto &kv : r.entries)
-            if (kv.first == name)
-                builder = kv.second;
-    }
-    if (builder)
-        return builder(seed);
+    for (const auto &kv : builders())
+        if (kv.first == name)
+            return kv.second(seed);
     fatal("unknown benchmark '%s'", name.c_str());
 }
 

@@ -14,7 +14,6 @@
 #ifndef SLIP_WORKLOADS_SPEC_SUITE_HH
 #define SLIP_WORKLOADS_SPEC_SUITE_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -27,25 +26,8 @@ namespace slip {
 /** Benchmark names in the order of the paper's figures. */
 const std::vector<std::string> &specBenchmarks();
 
-/** Builds one workload instance from a seed. */
-using WorkloadBuilder =
-    std::function<std::unique_ptr<Workload>(std::uint64_t seed)>;
-
-/**
- * Register a workload under @p name so scenarios and the CLI can use
- * it alongside the built-in suite. Fatal on duplicate names. The
- * built-ins are registered automatically; extras do not join
- * specBenchmarks() (the paper's figure set) but are resolvable via
- * makeSpecWorkload and listed by workloadNames().
- */
-void registerWorkload(const std::string &name, WorkloadBuilder builder);
-
-/** True when @p name resolves to a registered workload. */
+/** True when @p name is one of specBenchmarks(). */
 bool isKnownWorkload(const std::string &name);
-
-/** Every registered workload name: the suite in figure order, then
- * extras in registration order. */
-std::vector<std::string> workloadNames();
 
 /** The subset shown in Figure 1. */
 const std::vector<std::string> &figure1Benchmarks();

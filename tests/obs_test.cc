@@ -4,7 +4,7 @@
  * bucketing, the energy-attribution ledger's sums-to-totals invariant,
  * golden-stats invariance with observation attached, the Chrome trace
  * schema, epoch series accounting, result-cache counters, and the
- * disabled-path overhead budget against BENCH_core.json.
+ * disabled-path overhead budget against a recorded per-access cost.
  */
 
 #include <gtest/gtest.h>
@@ -346,38 +346,22 @@ TEST_F(ObsTest, ResultCacheCountsHitsMissesStoresAndCorruption)
 
 /**
  * Disabled-path budget: an instrumented site costs one relaxed load
- * and an untaken branch. Against the reference per-access time
- * recorded in BENCH_core.json, a generous per-access allowance of
- * gated sites must stay under 2% — the contract that lets the
- * instrumentation live compiled into the hot path's branches.
+ * and an untaken branch. Against a fixed reference per-access time, a
+ * generous per-access allowance of gated sites must stay under 2% —
+ * the contract that lets the instrumentation live compiled into the
+ * hot path's branches.
  */
 TEST_F(ObsTest, DisabledPathUnderTwoPercentOfReferenceAccessTime)
 {
-    std::ifstream is(SLIP_BENCH_CORE_JSON);
-    if (!is)
-        GTEST_SKIP() << "BENCH_core.json not found";
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    json::Value bench;
-    std::string err;
-    ASSERT_TRUE(json::Value::parse(buf.str(), bench, &err)) << err;
-
-    // Reference cost of one simulated access on the recording host.
-    const json::Value *cfg = bench.find("config");
-    const json::Value *after = bench.find("after");
-    ASSERT_TRUE(cfg && after);
-    const double refs = cfg->find("SLIP_BENCH_REFS")->asDouble();
-    const double runs = cfg->find("distinct_runs")->asDouble();
-    const json::Value *walls =
-        after->find("same_day_paired_wall_seconds");
-    ASSERT_TRUE(walls && walls->isArray() && walls->size() > 0);
-    double wall = 0;
-    for (const json::Value &w : walls->elements())
-        wall += w.asDouble();
-    wall /= double(walls->size());
-    // Each run simulates refs measured + refs warm-up accesses.
-    const double per_access_ns = wall * 1e9 / (runs * 2.0 * refs);
-    ASSERT_GT(per_access_ns, 0.0);
+    // Reference cost of one simulated access, 376 ns. Source: the
+    // cold 245-run figure sweep, 200,000 measured + 200,000 warm-up
+    // references per run, --jobs 1 on a 1-CPU host, Release build,
+    // timed at 37.27 s and 36.43 s (mean 36.85 s) when the hot path
+    // was rewritten (commit fd3a9c4). So 36.85 s / (245 x 2 x
+    // 200,000). Kept fixed: deriving it from a slower host or build
+    // would loosen the bound.
+    constexpr double kReferenceNsPerAccess =
+        36.85e9 / (245.0 * 2.0 * 200'000.0);
 
     // Measured cost of one disabled gated instrument. Best of several
     // trials: the suite runs under ctest -j alongside CPU-heavy tests,
@@ -404,8 +388,8 @@ TEST_F(ObsTest, DisabledPathUnderTwoPercentOfReferenceAccessTime)
     // hit charge, epoch check, and amortized miss-path sites).
     constexpr double kGatesPerAccess = 4.0;
     const double overhead = kGatesPerAccess * per_gate_ns;
-    EXPECT_LT(overhead, 0.02 * per_access_ns)
-        << per_gate_ns << " ns/gate against " << per_access_ns
+    EXPECT_LT(overhead, 0.02 * kReferenceNsPerAccess)
+        << per_gate_ns << " ns/gate against " << kReferenceNsPerAccess
         << " ns/access";
 }
 

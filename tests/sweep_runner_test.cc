@@ -137,6 +137,47 @@ TEST(SweepRunner, DuplicateEnqueuesCoalesce)
     EXPECT_EQ(st.memoHits, 2u);
 }
 
+TEST(SweepRunner, CallerMayGrowEnvironmentWhileRunsAreInFlight)
+{
+    // slip-bench applies --refs/--warmup/--cache with setenv, which
+    // may reallocate the environment array. A worker that calls
+    // getenv at the same time (as default-constructing a RunSpec does,
+    // through SweepOptions()) can read the freed array and crash.
+    // Keep a 4-worker pool busy with many tiny runs while this thread
+    // adds fresh variables, so any worker getenv overlaps reallocs.
+    SweepOptions opts;
+    opts.refs = 200;
+    opts.warmup = 200;
+    std::vector<RunSpec> specs;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        opts.config.seed = seed;  // distinct keys: no memo coalescing
+        specs.push_back(RunSpec::single("gcc", PolicyKind::Baseline, opts));
+    }
+
+    const std::string prefix =
+        "SLIP_SWEEP_TEST_ENV_" + std::to_string(::getpid()) + "_";
+    std::vector<std::string> names;
+    {
+        SweepRunner runner(4, ResultCache::disabled());
+        std::vector<std::shared_future<RunResult>> futs;
+        for (const auto &s : specs)
+            futs.push_back(runner.enqueue(s));
+        constexpr std::size_t kMaxVars = 4000;
+        while (names.size() < kMaxVars &&
+               runner.stats().executed < specs.size()) {
+            names.push_back(prefix + std::to_string(names.size()));
+            ASSERT_EQ(::setenv(names.back().c_str(), "1", 1), 0);
+        }
+        runner.wait();
+        EXPECT_EQ(runner.stats().executed, specs.size());
+        for (auto &f : futs)
+            EXPECT_GT(f.get().instructions, 0.0);
+    }
+    for (const auto &n : names)
+        ::unsetenv(n.c_str());
+    EXPECT_FALSE(names.empty());
+}
+
 TEST(SweepRunner, SecondRunnerHitsDiskCache)
 {
     TempCacheDir dir;

@@ -12,9 +12,9 @@
 #
 # The full-suite runs exclude obs_test's wall-clock overhead budget
 # (ObsTest.DisabledPathUnderTwoPercentOfReferenceAccessTime): it
-# compares against the uninstrumented reference timing recorded in
-# BENCH_core.json, which an instrumented build cannot meet. Every
-# other obs_test case still runs.
+# compares against a fixed per-access cost measured on an
+# uninstrumented Release build, which an instrumented build cannot
+# meet. Every other obs_test case still runs.
 #
 # All output is captured to <build-dir>/sanitize_<mode>.log as well as
 # the terminal, so CI can upload the log as an artifact on failure.
