@@ -91,7 +91,7 @@ cacheStatsJson(const ResultCache &cache)
 
 /** One level's stats as the report energy entry (obs/report.hh). */
 obs::ReportLevelEnergy
-reportLevel(const char *name, const CacheLevelStats &s)
+reportLevel(const std::string &name, const CacheLevelStats &s)
 {
     obs::ReportLevelEnergy lvl;
     lvl.name = name;
@@ -196,10 +196,16 @@ writeReports(const std::string &dir, const SweepRunner &runner,
         // RunResult keeps level 1 as l2 and the last level as l3
         // (sweep/run_result.cc): on a 2-level hierarchy both are the
         // one outer level, listed once. Deeper hierarchies never get
-        // here (benchOrchestratorMain rejects them).
-        if (spec.opts.config.hierarchy.levels.size() != 2)
-            report.levels.push_back(reportLevel("l2", r.l2));
-        report.levels.push_back(reportLevel("l3", r.l3));
+        // here (benchOrchestratorMain rejects them). Each is listed
+        // under the hierarchy's own name for it, as in the epochs.
+        const HierarchySpec &spec_h = spec.opts.config.hierarchy;
+        const HierarchySpec shape =
+            spec_h.empty() ? HierarchySpec::classic() : spec_h;
+        if (shape.levels.size() != 2)
+            report.levels.push_back(
+                reportLevel(shape.levels[1].name, r.l2));
+        report.levels.push_back(
+            reportLevel(shape.levels.back().name, r.l3));
         report.corePj =
             r.instructions * spec.opts.config.tech.corePjPerInstr;
         report.l1Pj = r.l1EnergyPj;

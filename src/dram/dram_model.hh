@@ -14,7 +14,6 @@
 #include "energy/energy_params.hh"
 #include "mem/types.hh"
 #include "obs/metrics.hh"
-#include "util/stats.hh"
 
 namespace slip {
 

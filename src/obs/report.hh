@@ -59,7 +59,7 @@ struct ReportProvenance
 {
     std::string runKey;     ///< RunSpec cache key / stable run id
     std::string label;      ///< human-readable run label
-    std::string policy;     ///< policy registry key
+    std::string policy;     ///< policy CLI key (policyCliName)
     std::string workload;   ///< workload name(s), "+"-joined for mixes
     std::string scenario;   ///< scenario name when file-driven, else ""
     std::string hierarchyKey;     ///< canonical HierarchySpec::key()

@@ -5,7 +5,6 @@
 
 #include "cache/replacement.hh"
 #include "energy/topology.hh"
-#include "sim/policy_registry.hh"
 #include "workloads/spec_suite.hh"
 #include "workloads/trace_workload.hh"
 
@@ -93,17 +92,38 @@ getUnsigned(const json::Value &obj, const std::string &path,
     return "";
 }
 
-/** Absent = leave as Inherit; a bool overrides. */
+/** Absent = leave unset (inherit); a bool overrides. */
 std::string
-getTri(const json::Value &obj, const std::string &path, const char *key,
-       Tri &out)
+getOptBool(const json::Value &obj, const std::string &path,
+           const char *key, std::optional<bool> &out)
 {
-    const json::Value *v = obj.find(key);
-    if (!v)
-        return "";
-    if (v->kind() != json::Value::Kind::Bool)
-        return path + "." + key + ": expected true or false";
-    out = v->asBool() ? Tri::On : Tri::Off;
+    bool b = false;
+    const std::string err = getBool(obj, path, key, b);
+    if (err.empty() && obj.find(key))
+        out = b;
+    return err;
+}
+
+/**
+ * A name parsed by @p parse ("unknown <what> 'x'" otherwise). Absent
+ * leaves @p out as it is: a system knob keeps its default, a level
+ * field stays unset (inherit).
+ */
+template <class T, class Out>
+std::string
+getNamed(const json::Value &obj, const std::string &path,
+         const char *key, bool (*parse)(const std::string &, T &),
+         const char *what, Out &out)
+{
+    std::string name;
+    std::string err = getString(obj, path, key, name);
+    if (!err.empty() || !obj.find(key))
+        return err;
+    T value;
+    if (!parse(name, value))
+        return path + "." + key + ": unknown " + what + " '" + name +
+               "'";
+    out = value;
     return "";
 }
 
@@ -138,18 +158,26 @@ parseLevel(const json::Value &v, const std::string &path, LevelSpec &l)
         return err;
     if (!(err = getBool(v, path, "private", l.isPrivate)).empty())
         return err;
-    if (!(err = getTri(v, path, "inclusive", l.inclusive)).empty())
+    if (!(err = getOptBool(v, path, "inclusive", l.inclusive)).empty())
         return err;
-    if (!(err = getString(v, path, "policy", l.policy)).empty())
-        return err;
-    if (!(err = getString(v, path, "topology", l.topology)).empty())
-        return err;
-    if (!(err = getString(v, path, "repl", l.repl)).empty())
-        return err;
-    if (!(err = getTri(v, path, "random_victim", l.randomVictim))
+    if (!(err = getNamed(v, path, "policy", parsePolicyKind, "policy",
+                         l.policy))
              .empty())
         return err;
-    if (!(err = getString(v, path, "energy", l.energy)).empty())
+    if (!(err = getNamed(v, path, "topology", parseTopologyKind,
+                         "topology", l.topology))
+             .empty())
+        return err;
+    if (!(err = getNamed(v, path, "repl", parseReplKind, "replacement",
+                         l.repl))
+             .empty())
+        return err;
+    if (!(err = getOptBool(v, path, "random_victim", l.randomVictim))
+             .empty())
+        return err;
+    if (!(err = getNamed(v, path, "energy", parseEnergyRef,
+                         "energy reference", l.energy))
+             .empty())
         return err;
     unsigned latency = l.latency;
     if (!(err = getUnsigned(v, path, "latency", latency)).empty())
@@ -199,20 +227,22 @@ parseLevel(const json::Value &v, const std::string &path, LevelSpec &l)
     return "";
 }
 
-/** "level N" (hierarchy-level diagnostics) -> "$.levels[N]". */
+/** "level N ('name')<rest>" (hierarchy-level diagnostics) ->
+ * "$.levels[N]<rest>", so "level 3 ('l4').policy: ..." names the
+ * JSON path "$.levels[3].policy". */
 std::string
 rewriteLevelError(const std::string &msg)
 {
-    if (msg.compare(0, 6, "level ") == 0) {
-        const std::size_t colon = msg.find(':');
-        std::size_t end = msg.find(' ', 6);
-        if (end == std::string::npos || (colon != std::string::npos &&
-                                         end > colon))
-            end = colon;
-        if (end != std::string::npos)
-            return "$.levels[" + msg.substr(6, end - 6) + "]" +
-                   (colon == std::string::npos ? ""
-                                               : msg.substr(colon));
+    const std::size_t end = msg.find_first_not_of("0123456789", 6);
+    if (msg.compare(0, 6, "level ") == 0 && end != 6 &&
+        end != std::string::npos) {
+        const std::size_t close = msg.find("')", end);
+        const std::size_t rest =
+            msg.compare(end, 3, " ('") == 0 && close != std::string::npos
+                ? close + 2
+                : end;
+        return "$.levels[" + msg.substr(6, end - 6) + "]" +
+               msg.substr(rest);
     }
     return "$.levels: " + msg;
 }
@@ -243,14 +273,11 @@ parseScenario(const json::Value &root, Scenario &out)
              .empty())
         return err;
     SystemConfig &cfg = out.config;
-    std::string policy = policyCliName(cfg.policy);
     std::string tech = cfg.tech.name;
-    std::string topology = topologyCliName(cfg.topology);
-    std::string repl = replCliName(cfg.repl);
-    if (!(err = getString(root, "$", "policy", policy)).empty())
+    if (!(err = getNamed(root, "$", "policy", parsePolicyKind, "policy",
+                         cfg.policy))
+             .empty())
         return err;
-    if (!parsePolicyKind(policy, cfg.policy))
-        return "$.policy: unknown policy '" + policy + "'";
     if (!(err = getString(root, "$", "tech", tech)).empty())
         return err;
     if (tech == "22nm")
@@ -258,14 +285,14 @@ parseScenario(const json::Value &root, Scenario &out)
     else if (tech != "45nm")
         return "$.tech: unknown technology '" + tech +
                "' (want 45nm|22nm)";
-    if (!(err = getString(root, "$", "topology", topology)).empty())
+    if (!(err = getNamed(root, "$", "topology", parseTopologyKind,
+                         "topology", cfg.topology))
+             .empty())
         return err;
-    if (!parseTopologyKind(topology, cfg.topology))
-        return "$.topology: unknown topology '" + topology + "'";
-    if (!(err = getString(root, "$", "repl", repl)).empty())
+    if (!(err = getNamed(root, "$", "repl", parseReplKind,
+                         "replacement", cfg.repl))
+             .empty())
         return err;
-    if (!parseReplKind(repl, cfg.repl))
-        return "$.repl: unknown replacement '" + repl + "'";
     if (!(err = getBool(root, "$", "random_victim",
                         cfg.randomSublevelVictim))
              .empty())
@@ -352,9 +379,6 @@ parseScenario(const json::Value &root, Scenario &out)
                 return err;
             cfg.hierarchy.levels.push_back(std::move(l));
         }
-        const std::string bad = cfg.hierarchy.validate();
-        if (!bad.empty())
-            return rewriteLevelError(bad);
     }
     return validateScenario(out);
 }
@@ -404,42 +428,9 @@ validateScenario(const Scenario &s)
         }
     }
 
-    // Resolving catches what structural validation cannot: unknown
-    // per-level topology/repl/policy keys and SLIP-slot exhaustion.
-    HierarchyDefaults defs;
-    defs.policy = policyCliName(cfg.policy);
-    defs.topology = cfg.topology;
-    defs.repl = cfg.repl;
-    defs.randomVictim = cfg.randomSublevelVictim;
-    defs.inclusiveLast = cfg.inclusiveL3;
-    defs.tech = &cfg.tech;
     std::string err;
-    std::vector<ResolvedLevel> resolved =
-        resolveHierarchy(cfg.hierarchy, defs, &err);
-    if (resolved.empty())
+    if (resolveLevels(cfg, &err).empty())
         return rewriteLevelError(err);
-
-    unsigned slip_levels = 0;
-    for (std::size_t i = 0; i < resolved.size(); ++i) {
-        const LevelPolicyInfo *pol = findLevelPolicy(resolved[i].policy);
-        if (!pol)
-            return "$.levels[" + std::to_string(i) +
-                   "].policy: unknown policy '" + resolved[i].policy +
-                   "'";
-        if (pol->slip) {
-            if (i == 0)
-                return "$.levels[0].policy: the innermost level has "
-                       "no reuse-distance profiling; SLIP policies "
-                       "need a level behind the L1 filter";
-            if (++slip_levels > kMaxSlipLevels)
-                return "$.levels[" + std::to_string(i) +
-                       "].policy: more than " +
-                       std::to_string(kMaxSlipLevels) +
-                       " SLIP-managed levels (line/page metadata "
-                       "holds " +
-                       std::to_string(kMaxSlipLevels) + " RD slots)";
-        }
-    }
     return "";
 }
 
@@ -502,18 +493,18 @@ scenarioJson(const Scenario &s)
             v["size_kb"] = l.sizeBytes / 1024;
             v["ways"] = l.ways;
             v["private"] = l.isPrivate;
-            if (l.inclusive != Tri::Inherit)
-                v["inclusive"] = l.inclusive == Tri::On;
-            if (!l.policy.empty())
-                v["policy"] = l.policy;
-            if (!l.topology.empty())
-                v["topology"] = l.topology;
-            if (!l.repl.empty())
-                v["repl"] = l.repl;
-            if (l.randomVictim != Tri::Inherit)
-                v["random_victim"] = l.randomVictim == Tri::On;
-            if (!l.energy.empty())
-                v["energy"] = l.energy;
+            if (l.inclusive)
+                v["inclusive"] = *l.inclusive;
+            if (l.policy)
+                v["policy"] = policyCliName(*l.policy);
+            if (l.topology)
+                v["topology"] = topologyCliName(*l.topology);
+            if (l.repl)
+                v["repl"] = replCliName(*l.repl);
+            if (l.randomVictim)
+                v["random_victim"] = *l.randomVictim;
+            if (l.energy)
+                v["energy"] = energyRefCliName(*l.energy);
             v["latency"] = static_cast<std::uint64_t>(l.latency);
             json::Value &sw = v["sublevel_ways"];
             sw = json::Value::array();

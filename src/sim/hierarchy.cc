@@ -10,24 +10,21 @@ namespace slip {
 
 namespace {
 
+/** Key spelling of an inheritable flag: "i" when unset. */
 const char *
-triChar(Tri t)
+flagChar(const std::optional<bool> &f)
 {
-    switch (t) {
-      case Tri::Inherit:
+    if (!f)
         return "i";
-      case Tri::Off:
-        return "0";
-      case Tri::On:
-        return "1";
-    }
-    return "?";
+    return *f ? "1" : "0";
 }
 
-bool
-resolveTri(Tri t, bool inherited)
+/** Key spelling of an inheritable name: "*" when unset. */
+template <class T>
+const char *
+nameOrStar(const std::optional<T> &v, const char *(*name)(T))
 {
-    return t == Tri::Inherit ? inherited : t == Tri::On;
+    return v ? name(*v) : "*";
 }
 
 /** Positional seed-stream defaults reproducing the classic layout:
@@ -48,14 +45,14 @@ positionalSeed(std::size_t idx, std::size_t nlevels,
     }
 }
 
-std::string
+EnergyRef
 positionalEnergy(std::size_t idx, std::size_t nlevels)
 {
     if (idx == 0)
-        return "l1";
+        return EnergyRef::L1;
     if (idx + 1 == nlevels)
-        return "l3";
-    return "l2";
+        return EnergyRef::L3;
+    return EnergyRef::L2;
 }
 
 bool
@@ -74,6 +71,34 @@ validName(const std::string &name)
 
 } // namespace
 
+const char *
+energyRefCliName(EnergyRef ref)
+{
+    switch (ref) {
+      case EnergyRef::L1:
+        return "l1";
+      case EnergyRef::L2:
+        return "l2";
+      case EnergyRef::L3:
+        return "l3";
+    }
+    return "?";
+}
+
+bool
+parseEnergyRef(const std::string &v, EnergyRef &out)
+{
+    if (v == "l1")
+        out = EnergyRef::L1;
+    else if (v == "l2")
+        out = EnergyRef::L2;
+    else if (v == "l3")
+        out = EnergyRef::L3;
+    else
+        return false;
+    return true;
+}
+
 HierarchySpec
 HierarchySpec::classic()
 {
@@ -84,12 +109,12 @@ HierarchySpec::classic()
     l1.sizeBytes = 32 * 1024;
     l1.ways = 8;
     l1.isPrivate = true;
-    l1.inclusive = Tri::Off;
-    l1.policy = "baseline";
-    l1.topology = "set";
-    l1.repl = "lru";
-    l1.randomVictim = Tri::Off;
-    l1.energy = "l1";
+    l1.inclusive = false;
+    l1.policy = PolicyKind::Baseline;
+    l1.topology = TopologyKind::HierBusSetInterleaved;
+    l1.repl = ReplKind::Lru;
+    l1.randomVictim = false;
+    l1.energy = EnergyRef::L1;
     l1.latency = 4;
     l1.sublevelWays = {2, 2, 4};
     l1.waysPerRow = 2;
@@ -100,8 +125,8 @@ HierarchySpec::classic()
     l2.sizeBytes = 256 * 1024;
     l2.ways = 16;
     l2.isPrivate = true;
-    l2.inclusive = Tri::Off;
-    l2.energy = "l2";
+    l2.inclusive = false;
+    l2.energy = EnergyRef::L2;
     h.levels.push_back(l2);
 
     LevelSpec l3;
@@ -109,8 +134,7 @@ HierarchySpec::classic()
     l3.sizeBytes = 2 * 1024 * 1024;
     l3.ways = 16;
     l3.isPrivate = false;
-    l3.inclusive = Tri::Inherit;
-    l3.energy = "l3";
+    l3.energy = EnergyRef::L3;
     h.levels.push_back(l3);
 
     return h;
@@ -127,16 +151,16 @@ HierarchySpec::key() const
         std::uint64_t mul = l.seedMul, add = l.seedAdd;
         if (mul == 0)
             positionalSeed(i, resolved.levels.size(), mul, add);
-        std::string energy = l.energy;
-        if (energy.empty())
-            energy = positionalEnergy(i, resolved.levels.size());
+        const EnergyRef energy = l.energy.value_or(
+            positionalEnergy(i, resolved.levels.size()));
         os << ";" << l.name << "," << l.sizeBytes << "," << l.ways
            << "," << (l.isPrivate ? "p" : "s") << ","
-           << triChar(l.inclusive) << ","
-           << (l.policy.empty() ? "*" : l.policy) << ","
-           << (l.topology.empty() ? "*" : l.topology) << ","
-           << (l.repl.empty() ? "*" : l.repl) << ","
-           << triChar(l.randomVictim) << "," << energy << ","
+           << flagChar(l.inclusive) << ","
+           << nameOrStar(l.policy, policyCliName) << ","
+           << nameOrStar(l.topology, topologyCliName) << ","
+           << nameOrStar(l.repl, replCliName) << ","
+           << flagChar(l.randomVictim) << ","
+           << energyRefCliName(energy) << ","
            << l.latency << "," << l.sublevelWays[0] << "-"
            << l.sublevelWays[1] << "-" << l.sublevelWays[2] << ","
            << l.waysPerRow << "," << mul << "+" << add << ",x"
@@ -195,7 +219,7 @@ HierarchySpec::validate() const
             return where + ": slice size smaller than one set";
         if (l.coherent && l.isPrivate)
             return where + ": coherence requires a shared level";
-        if (l.coherent && l.inclusive == Tri::Off)
+        if (l.coherent && !l.inclusive.value_or(true))
             return where + ": a coherent level must be inclusive";
     }
     std::size_t ncoherent = 0;
@@ -216,35 +240,15 @@ HierarchySpec::validate() const
     if (!levels[0].isPrivate)
         return "level 0 ('" + levels[0].name +
                "'): innermost level must be private";
-    if (!levels[0].policy.empty() && levels[0].policy != "baseline")
+    if (levels[0].policy.value_or(PolicyKind::Baseline) !=
+        PolicyKind::Baseline)
         return "level 0 ('" + levels[0].name +
                "'): innermost level is SLIP-agnostic and must use the "
                "baseline policy";
-    if (levels[0].inclusive == Tri::On)
+    if (levels[0].inclusive.value_or(false))
         return "level 0 ('" + levels[0].name +
                "'): innermost level cannot be inclusive";
     return "";
-}
-
-bool
-operator==(const LevelSpec &a, const LevelSpec &b)
-{
-    return a.name == b.name && a.sizeBytes == b.sizeBytes &&
-           a.ways == b.ways && a.isPrivate == b.isPrivate &&
-           a.slices == b.slices && a.coherent == b.coherent &&
-           a.inclusive == b.inclusive && a.policy == b.policy &&
-           a.topology == b.topology && a.repl == b.repl &&
-           a.randomVictim == b.randomVictim && a.energy == b.energy &&
-           a.latency == b.latency &&
-           a.sublevelWays == b.sublevelWays &&
-           a.waysPerRow == b.waysPerRow && a.seedMul == b.seedMul &&
-           a.seedAdd == b.seedAdd;
-}
-
-bool
-operator==(const HierarchySpec &a, const HierarchySpec &b)
-{
-    return a.levels == b.levels;
 }
 
 std::vector<ResolvedLevel>
@@ -261,6 +265,7 @@ resolveHierarchy(const HierarchySpec &spec, const HierarchyDefaults &defs,
     }
 
     std::vector<ResolvedLevel> out;
+    unsigned slip_levels = 0;
     for (std::size_t i = 0; i < h.levels.size(); ++i) {
         const LevelSpec &l = h.levels[i];
         ResolvedLevel r;
@@ -272,7 +277,7 @@ resolveHierarchy(const HierarchySpec &spec, const HierarchyDefaults &defs,
         r.coherent = l.coherent;
         const bool incl_default =
             (i + 1 == h.levels.size()) && defs.inclusiveLast;
-        r.inclusive = resolveTri(l.inclusive, incl_default);
+        r.inclusive = l.inclusive.value_or(incl_default);
         if (r.coherent && !r.inclusive) {
             if (err)
                 *err = "level " + std::to_string(i) +
@@ -281,35 +286,24 @@ resolveHierarchy(const HierarchySpec &spec, const HierarchyDefaults &defs,
             return {};
         }
 
-        if (l.policy.empty())
-            r.policy = i == 0 ? "baseline" : defs.policy;
-        else
-            r.policy = l.policy;
-
-        if (l.topology.empty()) {
-            r.topology = defs.topology;
-        } else if (!parseTopologyKind(l.topology, r.topology)) {
+        r.policy = l.policy.value_or(i == 0 ? PolicyKind::Baseline
+                                            : defs.policy);
+        if (isSlipPolicy(r.policy) && ++slip_levels > kMaxSlipLevels) {
             if (err)
-                *err = "level " + std::to_string(i) +
-                       ": unknown topology '" + l.topology + "'";
+                *err = "level " + std::to_string(i) + " ('" + l.name +
+                       "').policy: more than " +
+                       std::to_string(kMaxSlipLevels) +
+                       " SLIP-managed levels (line/page metadata "
+                       "holds " +
+                       std::to_string(kMaxSlipLevels) + " RD slots)";
             return {};
         }
+        r.topology = l.topology.value_or(defs.topology);
+        r.repl = l.repl.value_or(defs.repl);
+        r.randomVictim = l.randomVictim.value_or(defs.randomVictim);
 
-        if (l.repl.empty()) {
-            r.repl = defs.repl;
-        } else if (!parseReplKind(l.repl, r.repl)) {
-            if (err)
-                *err = "level " + std::to_string(i) +
-                       ": unknown replacement '" + l.repl + "'";
-            return {};
-        }
-
-        r.randomVictim = resolveTri(l.randomVictim, defs.randomVictim);
-
-        std::string energy = l.energy;
-        if (energy.empty())
-            energy = positionalEnergy(i, h.levels.size());
-        if (energy == "l1") {
+        switch (l.energy.value_or(positionalEnergy(i, h.levels.size()))) {
+          case EnergyRef::L1: {
             LevelEnergyParams p;
             p.baselineAccessPj = defs.tech->l1AccessPj;
             p.baselineLatency = l.latency;
@@ -319,16 +313,14 @@ resolveHierarchy(const HierarchySpec &spec, const HierarchyDefaults &defs,
             p.sublevelLatency = {l.latency, l.latency, l.latency};
             p.metadataPj = 0.0;
             r.energy = p;
-        } else if (energy == "l2") {
+            break;
+          }
+          case EnergyRef::L2:
             r.energy = defs.tech->l2;
-        } else if (energy == "l3") {
+            break;
+          case EnergyRef::L3:
             r.energy = defs.tech->l3;
-        } else {
-            if (err)
-                *err = "level " + std::to_string(i) +
-                       ": unknown energy reference '" + energy +
-                       "' (want l1|l2|l3)";
-            return {};
+            break;
         }
 
         r.sublevelWays = l.sublevelWays;
@@ -345,8 +337,7 @@ resolveHierarchy(const HierarchySpec &spec, const HierarchyDefaults &defs,
     SLIP_CHECK_EXPENSIVE(
         for (const ResolvedLevel &rl : out)
             SLIP_CHECK_MSG(!rl.name.empty() && rl.sizeBytes > 0 &&
-                               rl.ways > 0 && rl.seedMul != 0 &&
-                               !rl.policy.empty(),
+                               rl.ways > 0 && rl.seedMul != 0,
                            "resolved level '%s' under-specified",
                            rl.name.c_str()));
     if (err)

@@ -6,12 +6,14 @@
  * first; System builds one CacheLevel (per core for private levels,
  * one shared unit otherwise) plus a policy controller for every
  * entry, so 2-, 3-, and 4-level hierarchies all come from the same
- * code path. Most LevelSpec fields are tri-state/empty "inherit"
- * markers resolved against the system-wide knobs (policy, topology,
- * replacement, inclusiveness), which keeps the classic Table 1
- * configuration expressible as an empty spec and makes scenario
- * files that spell out the defaults key-compatible with programmatic
- * configs.
+ * code path. The inheritable LevelSpec fields are typed optionals
+ * (unset = inherit) resolved against the system-wide knobs (policy,
+ * topology, replacement, inclusiveness), which keeps the classic
+ * Table 1 configuration expressible as an empty spec and makes
+ * scenario files that spell out the defaults key-compatible with
+ * programmatic configs. Names are parsed once, where scenario JSON
+ * is read; resolveHierarchy() is the one place that enforces the
+ * level rules.
  *
  * SLIP-managed levels consume a reuse-distance slot: per-page
  * metadata holds kMaxSlipLevels distributions (12 bits of line
@@ -24,6 +26,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,14 +34,22 @@
 #include "energy/energy_params.hh"
 #include "energy/topology.hh"
 #include "mem/types.hh"
+#include "sim/policy_kind.hh"
 
 namespace slip {
 
 /** RD slots available in line/page metadata (PolicyPair::code). */
 constexpr unsigned kMaxSlipLevels = 2;
 
-/** Inherit-or-override marker for boolean level knobs. */
-enum class Tri : std::uint8_t { Inherit, Off, On };
+/** Energy/latency source of a level: "l1" (uniform, from TechParams
+ * l1AccessPj + the level's latency), or TechParams l2 / l3. */
+enum class EnergyRef : std::uint8_t { L1, L2, L3 };
+
+/** Canonical scenario key ("l1", "l2", "l3"). */
+const char *energyRefCliName(EnergyRef ref);
+
+/** Parse a scenario energy key; false on unknown names. */
+bool parseEnergyRef(const std::string &v, EnergyRef &out);
 
 /** One level of the hierarchy (innermost = index 0). */
 struct LevelSpec
@@ -71,27 +82,26 @@ struct LevelSpec
      */
     bool coherent = false;
 
-    /** Back-invalidate upper levels on eviction; Inherit maps the
-     * last level to SystemConfig::inclusiveL3 and others to Off. */
-    Tri inclusive = Tri::Inherit;
+    /** Back-invalidate upper levels on eviction; unset maps the
+     * last level to SystemConfig::inclusiveL3 and others to false. */
+    std::optional<bool> inclusive;
 
-    /** Controller registry key; "" inherits the system policy
-     * (level 0 always resolves to "baseline"). */
-    std::string policy;
+    /** Unset inherits the system policy (level 0 always resolves to
+     * baseline). */
+    std::optional<PolicyKind> policy;
 
-    /** Topology CLI key ("way"/"set"/"htree"/"ring"); "" inherits. */
-    std::string topology;
+    /** Unset inherits the system topology. */
+    std::optional<TopologyKind> topology;
 
-    /** Replacement CLI key ("lru"/"rrip"/"random"); "" inherits. */
-    std::string repl;
+    /** Unset inherits the system replacement. */
+    std::optional<ReplKind> repl;
 
-    /** Randomized sublevel victim choice (Section 7). */
-    Tri randomVictim = Tri::Inherit;
+    /** Randomized sublevel victim choice (Section 7); unset inherits. */
+    std::optional<bool> randomVictim;
 
-    /** Energy/latency source: "l1" (uniform, from TechParams
-     * l1AccessPj + this latency), "l2", "l3", or "" for the
-     * positional default (first="l1", last="l3", middle="l2"). */
-    std::string energy;
+    /** Unset selects the positional default (first L1, last L3,
+     * middle L2). */
+    std::optional<EnergyRef> energy;
 
     /** Baseline latency for "l1"-style uniform energy blocks. */
     Cycles latency = 4;
@@ -107,6 +117,8 @@ struct LevelSpec
      */
     std::uint64_t seedMul = 0;
     std::uint64_t seedAdd = 0;
+
+    bool operator==(const LevelSpec &) const = default;
 };
 
 /** The whole hierarchy, innermost level first. */
@@ -133,15 +145,14 @@ struct HierarchySpec
 
     /** The paper's Table 1 three-level hierarchy, knobs inherited. */
     static HierarchySpec classic();
-};
 
-bool operator==(const LevelSpec &a, const LevelSpec &b);
-bool operator==(const HierarchySpec &a, const HierarchySpec &b);
+    bool operator==(const HierarchySpec &) const = default;
+};
 
 /** System-wide knobs a spec's inherit markers resolve against. */
 struct HierarchyDefaults
 {
-    std::string policy;        ///< policyCliName(cfg.policy)
+    PolicyKind policy = PolicyKind::Baseline;
     TopologyKind topology = TopologyKind::HierBusWayInterleaved;
     ReplKind repl = ReplKind::Lru;
     bool randomVictim = false;
@@ -159,7 +170,7 @@ struct ResolvedLevel
     unsigned slices = 1;
     bool coherent = false;
     bool inclusive = false;
-    std::string policy;        ///< controller registry key
+    PolicyKind policy = PolicyKind::Baseline;
     TopologyKind topology = TopologyKind::HierBusWayInterleaved;
     ReplKind repl = ReplKind::Lru;
     bool randomVictim = false;
@@ -171,8 +182,11 @@ struct ResolvedLevel
 };
 
 /**
- * Resolve @p spec (or classic() when empty) against @p defs.
- * On error returns an empty vector and sets @p err.
+ * Resolve @p spec (or classic() when empty) against @p defs, and
+ * enforce every level rule: validate(), coherent levels resolving
+ * inclusive, and at most kMaxSlipLevels SLIP-managed levels after
+ * inheritance. On error returns an empty vector and sets @p err to a
+ * message naming the level ("level N ('name')...").
  */
 std::vector<ResolvedLevel>
 resolveHierarchy(const HierarchySpec &spec, const HierarchyDefaults &defs,

@@ -46,7 +46,7 @@ isSlipPolicy(PolicyKind kind)
 }
 
 /**
- * Canonical CLI/scenario/registry key ("baseline", "slip+abp", ...).
+ * Canonical CLI/scenario key ("baseline", "slip+abp", ...).
  * Distinct from policyName(), the figure-label display form.
  */
 inline const char *

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nuca/lru_pea.hh"
+#include "nuca/nurapid.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "perf/perf_counters.hh"
-#include "sim/policy_registry.hh"
+#include "slip/slip_controller.hh"
 #include "util/check.hh"
 #include "util/logging.hh"
 
@@ -26,7 +28,44 @@ defaultPolicies()
     return p;
 }
 
+/** The controller of @p spec's policy over @p unit. @p slot is the
+ * level's RD slot (indexes PolicyPair::code); non-SLIP policies
+ * receive the would-be slot of their level for stable stream
+ * derivation. */
+std::unique_ptr<LevelController>
+makeController(const ResolvedLevel &spec, CacheLevel &unit,
+               unsigned slot, std::uint64_t seed)
+{
+    switch (spec.policy) {
+      case PolicyKind::Baseline:
+        return std::make_unique<BaselineController>(unit, slot);
+      case PolicyKind::NuRapid:
+        return std::make_unique<NuRapidController>(unit, slot);
+      case PolicyKind::LruPea:
+        return std::make_unique<LruPeaController>(unit, slot,
+                                                  seed * 17 + 3);
+      case PolicyKind::Slip:
+      case PolicyKind::SlipAbp:
+        return std::make_unique<SlipController>(
+            unit, slot, spec.randomVictim, seed * 13 + slot);
+    }
+    panic("level '%s': unknown policy", spec.name.c_str());
+}
+
 } // namespace
+
+std::vector<ResolvedLevel>
+resolveLevels(const SystemConfig &cfg, std::string *err)
+{
+    HierarchyDefaults defs;
+    defs.policy = cfg.policy;
+    defs.topology = cfg.topology;
+    defs.repl = cfg.repl;
+    defs.randomVictim = cfg.randomSublevelVictim;
+    defs.inclusiveLast = cfg.inclusiveL3;
+    defs.tech = &cfg.tech;
+    return resolveHierarchy(cfg.hierarchy, defs, err);
+}
 
 System::System(const SystemConfig &cfg)
     : _cfg(cfg),
@@ -41,33 +80,21 @@ System::System(const SystemConfig &cfg)
 {
     slip_assert(cfg.numCores >= 1, "at least one core required");
 
-    HierarchyDefaults defs;
-    defs.policy = policyCliName(cfg.policy);
-    defs.topology = cfg.topology;
-    defs.repl = cfg.repl;
-    defs.randomVictim = cfg.randomSublevelVictim;
-    defs.inclusiveLast = cfg.inclusiveL3;
-    defs.tech = &cfg.tech;
     std::string err;
-    std::vector<ResolvedLevel> resolved =
-        resolveHierarchy(cfg.hierarchy, defs, &err);
+    std::vector<ResolvedLevel> resolved = resolveLevels(cfg, &err);
     if (resolved.empty())
         fatal("invalid hierarchy: %s", err.c_str());
     _l1Latency = resolved[0].energy.baselineLatency;
 
     // Build every level from the same path: one CacheLevel per unit
-    // plus a registry-resolved controller. SLIP-managed levels claim
+    // plus the controller of its policy. SLIP-managed levels claim
     // reuse-distance slots in order.
     for (std::size_t i = 0; i < resolved.size(); ++i) {
         const ResolvedLevel &spec = resolved[i];
-        const LevelPolicyInfo *pol = findLevelPolicy(spec.policy);
-        if (!pol)
-            fatal("level %zu ('%s'): unknown policy '%s'", i,
-                  spec.name.c_str(), spec.policy.c_str());
+        const bool slip = isSlipPolicy(spec.policy);
 
         Level lvl;
         lvl.spec = spec;
-        lvl.abp = pol->abp;
         // Non-SLIP controllers receive the would-be slot of their
         // level so their derived RNG streams match the classic
         // layout (level 1 -> 0, deeper levels -> 1).
@@ -75,22 +102,12 @@ System::System(const SystemConfig &cfg)
             i == 0 ? 0
                    : std::min<unsigned>(static_cast<unsigned>(i) - 1,
                                         kMaxSlipLevels - 1);
-        if (pol->slip) {
-            slip_assert(i > 0, "level 0 cannot be SLIP-managed");
-            if (_slipLevels.size() >= kMaxSlipLevels)
-                fatal("level %zu ('%s'): more than %u SLIP-managed "
-                      "levels (line/page metadata holds %u RD slots)",
-                      i, spec.name.c_str(), kMaxSlipLevels,
-                      kMaxSlipLevels);
+        if (slip) {
             lvl.slot = static_cast<int>(_slipLevels.size());
             ctrl_slot = static_cast<unsigned>(lvl.slot);
             _slipLevels.push_back(static_cast<unsigned>(i));
             _isSlip = true;
         }
-
-        LevelPolicyArgs args;
-        args.randomSublevelVictim = spec.randomVictim;
-        args.systemSeed = cfg.seed;
 
         // Shared levels have one unit per address-interleaved slice
         // (one total when unsliced), private levels one per core. A
@@ -115,13 +132,13 @@ System::System(const SystemConfig &cfg)
             c.waysPerRow = spec.waysPerRow;
             c.setShift = spec.shared ? exactLog2(spec.slices) : 0;
             c.repl = spec.repl;
-            c.movementQueueEnabled = pol->movementQueue;
-            c.slipMetadataEnabled = pol->slip;
+            c.movementQueueEnabled = spec.policy != PolicyKind::Baseline;
+            c.slipMetadataEnabled = slip;
             c.movementQueuePj = cfg.tech.movementQueuePj;
             c.seed = cfg.seed * spec.seedMul + spec.seedAdd + u;
             lvl.units.push_back(std::make_unique<CacheLevel>(c));
-            lvl.ctrls.push_back(
-                pol->make(*lvl.units.back(), ctrl_slot, args));
+            lvl.ctrls.push_back(makeController(
+                spec, *lvl.units.back(), ctrl_slot, cfg.seed));
         }
         if (spec.coherent) {
             slip_assert(_coherentLevel < 0,
@@ -156,7 +173,8 @@ System::System(const SystemConfig &cfg)
         m.includeInsertion = cfg.eouIncludeInsertion;
         // An inclusive level must never fully bypass (Section 4.3).
         _eous.push_back(std::make_unique<Eou>(
-            SlipEnergyModel(m), lvl.abp && !lvl.spec.inclusive));
+            SlipEnergyModel(m),
+            lvl.spec.policy == PolicyKind::SlipAbp && !lvl.spec.inclusive));
     }
 
     _epochLvlBase.assign(_levels.size() - 1, obs::EnergyLedger{});

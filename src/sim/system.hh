@@ -10,10 +10,11 @@
  * The hierarchy is data, not code: SystemConfig::hierarchy names an
  * ordered vector of LevelSpecs (empty selects the paper's Table 1
  * three-level layout) and every level is built from the same path —
- * a CacheLevel per unit plus a policy controller resolved from the
- * string-keyed registry (sim/policy_registry.hh). SLIP-managed
- * levels are assigned reuse-distance slots in order; the EOU/RD
- * machinery attaches to whichever levels carry a SLIP policy.
+ * a CacheLevel per unit plus the controller of the level's
+ * PolicyKind. resolveLevels() applies every level rule before
+ * anything is built. SLIP-managed levels are assigned reuse-distance
+ * slots in order; the EOU/RD machinery attaches to whichever levels
+ * carry a SLIP policy.
  *
  * The simulator is trace driven: workload generators (src/workloads)
  * produce address streams; System::run interleaves them round-robin
@@ -149,6 +150,14 @@ struct SystemConfig
 
     SystemConfig();
 };
+
+/**
+ * @p cfg's hierarchy resolved against its system-wide knobs: the one
+ * validator of level rules, shared by System and scenario loading.
+ * On error returns an empty vector and sets @p err.
+ */
+std::vector<ResolvedLevel> resolveLevels(const SystemConfig &cfg,
+                                         std::string *err);
 
 /** Per-core aggregate results. */
 struct CoreStats
@@ -368,7 +377,6 @@ class System
     {
         ResolvedLevel spec;
         int slot = -1;  ///< RD slot when SLIP-managed, else -1
-        bool abp = false;  ///< policy's EOU pool includes all-bypass
         std::vector<std::unique_ptr<CacheLevel>> units;
         std::vector<std::unique_ptr<LevelController>> ctrls;
 

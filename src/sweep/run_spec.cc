@@ -75,27 +75,21 @@ SweepOptions::key() const
     return os.str();
 }
 
+// The factories aggregate-initialize: a default-constructed RunSpec
+// would run SweepOptions(), whose getenv races a caller's setenv.
+
 RunSpec
 RunSpec::single(std::string benchmark, PolicyKind policy,
                 const SweepOptions &opts)
 {
-    RunSpec s;
-    s.benchmark = std::move(benchmark);
-    s.policy = policy;
-    s.opts = opts;
-    return s;
+    return {std::move(benchmark), "", 0, policy, opts};
 }
 
 RunSpec
 RunSpec::mix(std::string a, std::string b, PolicyKind policy,
              const SweepOptions &opts)
 {
-    RunSpec s;
-    s.benchmark = std::move(a);
-    s.benchmarkB = std::move(b);
-    s.policy = policy;
-    s.opts = opts;
-    return s;
+    return {std::move(a), std::move(b), 0, policy, opts};
 }
 
 RunSpec
@@ -104,12 +98,7 @@ RunSpec::replicated(std::string benchmark, unsigned cores,
 {
     slip_assert(cores >= 1 && cores <= 64,
                 "replicated run needs 1-64 cores, got %u", cores);
-    RunSpec s;
-    s.benchmark = std::move(benchmark);
-    s.cores = cores;
-    s.policy = policy;
-    s.opts = opts;
-    return s;
+    return {std::move(benchmark), "", cores, policy, opts};
 }
 
 namespace {

@@ -69,24 +69,24 @@ sharedConfig(unsigned cores, unsigned slices)
     cfg.seed = 7;
 
     const auto level = [](const char *name, std::uint64_t size,
-                          const char *energy) {
+                          EnergyRef energy) {
         LevelSpec l;
         l.name = name;
         l.sizeBytes = size;
         l.ways = 8;
-        l.inclusive = Tri::Off;
+        l.inclusive = false;
         l.energy = energy;
         l.sublevelWays = {2, 2, 4};
         l.waysPerRow = 2;
         return l;
     };
-    cfg.hierarchy.levels.push_back(level("l1", 32 * 1024, "l1"));
-    cfg.hierarchy.levels.push_back(level("l2", 128 * 1024, "l2"));
-    LevelSpec llc = level("llc", 1024 * 1024, "l3");
+    cfg.hierarchy.levels.push_back(level("l1", 32 * 1024, EnergyRef::L1));
+    cfg.hierarchy.levels.push_back(level("l2", 128 * 1024, EnergyRef::L2));
+    LevelSpec llc = level("llc", 1024 * 1024, EnergyRef::L3);
     llc.isPrivate = false;
     llc.slices = slices;
     llc.coherent = true;
-    llc.inclusive = Tri::On;
+    llc.inclusive = true;
     cfg.hierarchy.levels.push_back(llc);
     return cfg;
 }
@@ -240,7 +240,7 @@ TEST(CoherenceSpecTest, RejectsIllFormedSharingTopologies)
               std::string::npos);
 
     h = good.hierarchy;
-    h.levels[2].inclusive = Tri::Off;  // coherent but non-inclusive
+    h.levels[2].inclusive = false;  // coherent but non-inclusive
     EXPECT_NE(h.validate().find("must be inclusive"),
               std::string::npos);
 

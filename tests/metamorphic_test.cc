@@ -240,15 +240,15 @@ dumpAtThreads(SystemConfig cfg, unsigned run_threads,
  *  spelled programmatically. */
 LevelSpec
 privateLevel(const char *name, std::size_t size_kb, unsigned ways,
-             const char *energy)
+             EnergyRef energy)
 {
     LevelSpec l;
     l.name = name;
     l.sizeBytes = size_kb * 1024;
     l.ways = ways;
     l.isPrivate = true;
-    l.inclusive = Tri::Off;
-    l.policy = "baseline";
+    l.inclusive = false;
+    l.policy = PolicyKind::Baseline;
     l.energy = energy;
     l.latency = 4;
     const unsigned q = ways / 4;
@@ -320,13 +320,13 @@ TEST(MetamorphicRunThreadsTest, DumpIdenticalForAnyThreadCount)
         c.cfg.numCores = 2;
         c.fullFront = true;
         c.cfg.hierarchy.levels.push_back(
-            privateLevel("l1", 32, 8, "l1"));
+            privateLevel("l1", 32, 8, EnergyRef::L1));
         LevelSpec llc;
         llc.name = "llc";
         llc.sizeBytes = 1024 * 1024;
         llc.ways = 16;
         llc.isPrivate = false;
-        llc.energy = "l3";
+        llc.energy = EnergyRef::L3;
         c.cfg.hierarchy.levels.push_back(llc);
         cases.push_back(c);
     }
@@ -336,12 +336,12 @@ TEST(MetamorphicRunThreadsTest, DumpIdenticalForAnyThreadCount)
         Case c{"slip_4level_1core", SystemConfig{}, {"soplex"}};
         c.cfg.policy = PolicyKind::Baseline;
         c.cfg.hierarchy = HierarchySpec::classic();
-        c.cfg.hierarchy.levels[1].policy = "slip";
-        LevelSpec l3 = privateLevel("l3", 1024, 16, "l2");
+        c.cfg.hierarchy.levels[1].policy = PolicyKind::Slip;
+        LevelSpec l3 = privateLevel("l3", 1024, 16, EnergyRef::L2);
         c.cfg.hierarchy.levels.insert(
             c.cfg.hierarchy.levels.begin() + 2, l3);
         c.cfg.hierarchy.levels[3].name = "l4";
-        c.cfg.hierarchy.levels[3].policy = "slip";
+        c.cfg.hierarchy.levels[3].policy = PolicyKind::Slip;
         c.cfg.hierarchy.levels[3].sizeBytes = 4 * 1024 * 1024;
         cases.push_back(c);
     }

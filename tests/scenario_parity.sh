@@ -3,9 +3,10 @@
 # system (both take it from scenarioSystemConfig), so their run reports
 # carry identical energy and result sections. Checked on the
 # inclusive-LLC scenario and on an rd_block_pages=4 copy of
-# golden_soplex_slip, each next to a twin lacking that one field: the
-# two must get distinct sweep keys, or the second would be served the
-# first one's cached result.
+# golden_soplex_slip, each next to a twin lacking that one field, and
+# on hier3_shared4 (whose LLC is named "llc", not "l3") next to a
+# 2-slice twin: each pair must get distinct sweep keys, or the second
+# would be served the first one's cached result.
 #
 # usage: scenario_parity.sh SLIP_BENCH SLIP_SIM SCENARIO_DIR
 set -eu
@@ -44,3 +45,8 @@ sed 's/^  "rd_bin_bits": 4,$/&\n  "rd_block_pages": 4,/' \
 grep -q '"rd_block_pages": 4' "$work/rbp4.json"
 check rd_block_pages "$work/rbp4.json" \
     "$scenarios/golden_soplex_slip.json"
+
+sed 's/^      "slices": 4,$/      "slices": 2,/' \
+    "$scenarios/hier3_shared4.json" > "$work/shared2.json"
+grep -q '"slices": 2' "$work/shared2.json"
+check shared4 "$scenarios/hier3_shared4.json" "$work/shared2.json"

@@ -35,7 +35,6 @@
 #include "obs/energy_ledger.hh"
 #include "obs/metrics.hh"
 #include "scenario/scenario.hh"
-#include "sim/policy_registry.hh"
 #include "sim/stats_dump.hh"
 #include "sim/system.hh"
 #include "sweep/run_spec.hh"
@@ -70,7 +69,7 @@ loadCheckedIn(const std::string &name, Scenario &s)
 }
 
 // ---------------------------------------------------------------------
-// Registry key round trips (the parsers every layer now shares).
+// CLI key round trips (the parsers every layer now shares).
 
 TEST(PolicyKindKeys, RoundTripAndAliases)
 {
@@ -81,8 +80,6 @@ TEST(PolicyKindKeys, RoundTripAndAliases)
         ASSERT_TRUE(parsePolicyKind(policyCliName(k), back))
             << policyCliName(k);
         EXPECT_EQ(back, k);
-        // The canonical key is also a registered level policy.
-        EXPECT_NE(findLevelPolicy(policyCliName(k)), nullptr);
     }
     PolicyKind k;
     EXPECT_TRUE(parsePolicyKind("lrupea", k));
@@ -91,6 +88,22 @@ TEST(PolicyKindKeys, RoundTripAndAliases)
     EXPECT_EQ(k, PolicyKind::SlipAbp);
     EXPECT_FALSE(parsePolicyKind("SLIP", k));
     EXPECT_FALSE(parsePolicyKind("", k));
+
+    // A per-level alias loads as its PolicyKind and re-serializes
+    // under the canonical key.
+    Scenario s;
+    ASSERT_EQ(parseScenarioText(
+                  "{\"name\":\"t\",\"workload\":\"soplex\",\"levels\":["
+                  "{\"name\":\"l1\",\"size_kb\":32,\"ways\":8},"
+                  "{\"name\":\"l2\",\"size_kb\":256,\"ways\":16,"
+                  "\"private\":false,\"policy\":\"slip-abp\"}]}",
+                  s),
+              "");
+    EXPECT_EQ(s.config.hierarchy.levels[1].policy, PolicyKind::SlipAbp);
+    const json::Value out = scenarioJson(s);
+    EXPECT_EQ(
+        out.find("levels")->elements()[1].find("policy")->asString(),
+        "slip+abp");
 }
 
 TEST(TopologyKindKeys, RoundTrip)
@@ -275,6 +288,46 @@ TEST(ScenarioValidation, HierarchyErrorsNameTheLevel)
     err = parseErr(threeLevels("", ",\"repl\":\"plru\"", ""));
     EXPECT_NE(err.find("$.levels[1]"), std::string::npos) << err;
     EXPECT_NE(err.find("replacement"), std::string::npos) << err;
+
+    // Every per-level name is checked when the file is read.
+    const std::pair<std::string, std::string> bad_names[] = {
+        {",\"policy\":\"clock\"", "$.levels[2].policy: unknown policy"},
+        {",\"topology\":\"mesh\"",
+         "$.levels[2].topology: unknown topology"},
+        {",\"energy\":\"l4\"",
+         "$.levels[2].energy: unknown energy reference"},
+    };
+    for (const auto &[field, want] : bad_names) {
+        err = parseErr(threeLevels("", "", field));
+        EXPECT_NE(err.find(want), std::string::npos) << err;
+    }
+}
+
+TEST(ScenarioValidation, ResolveLevelsCapsSlipLevels)
+{
+    // validate() is structural, so a programmatic spec with more
+    // SLIP-managed levels than RD slots passes it; resolveLevels, the
+    // validator System and scenario loading share, must refuse it.
+    SystemConfig cfg;
+    cfg.hierarchy = HierarchySpec::classic();
+    LevelSpec l3 = cfg.hierarchy.levels[1];
+    l3.name = "l3";
+    l3.sizeBytes = 1024 * 1024;
+    cfg.hierarchy.levels.insert(cfg.hierarchy.levels.begin() + 2, l3);
+    cfg.hierarchy.levels[3].name = "l4";
+    for (std::size_t i = 1; i < 4; ++i)
+        cfg.hierarchy.levels[i].policy = PolicyKind::Slip;
+    ASSERT_EQ(cfg.hierarchy.validate(), "");
+
+    std::string err;
+    EXPECT_TRUE(resolveLevels(cfg, &err).empty());
+    EXPECT_NE(err.find("level 3 ('l4').policy"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("SLIP-managed"), std::string::npos) << err;
+
+    // Two SLIP levels fit the two slots.
+    cfg.hierarchy.levels[3].policy.reset();
+    EXPECT_EQ(resolveLevels(cfg, &err).size(), 4u) << err;
 }
 
 TEST(ScenarioValidation, MalformedJsonNeverCrashes)
@@ -369,7 +422,7 @@ TEST(CacheKeyV10, OneFieldEditMisses)
         FLIP(c.inclusiveL3 = true),
         FLIP(c.hierarchy.levels[1].ways = 8),  // still a power of two
         FLIP(c.hierarchy.levels[2].sizeBytes *= 2),
-        FLIP(c.hierarchy.levels[1].policy = "lru-pea"),
+        FLIP(c.hierarchy.levels[1].policy = PolicyKind::LruPea),
         FLIP(c.hierarchy.levels[2].slices = 4),
         FLIP(c.hierarchy.levels[2].coherent = true),
         FLIP(c.hierarchy.levels[1].isPrivate = false),

@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -176,6 +177,46 @@ TEST(SweepRunner, CallerMayGrowEnvironmentWhileRunsAreInFlight)
     for (const auto &n : names)
         ::unsetenv(n.c_str());
     EXPECT_FALSE(names.empty());
+}
+
+TEST(RunSpec, FactoriesMayRunWhileCallerGrowsEnvironment)
+{
+    // The factories copy the caller's options. Were they to
+    // default-construct a RunSpec first, SweepOptions() would call
+    // getenv, which can read the environment array while a setenv on
+    // another thread reallocates and frees it. Three threads build
+    // specs while this thread adds fresh variables.
+    const SweepOptions opts;
+    std::atomic<bool> done{false};
+    std::atomic<std::uint64_t> built{0};
+    std::vector<std::thread> builders;
+    for (int t = 0; t < 3; ++t)
+        builders.emplace_back([&] {
+            while (!done.load()) {
+                const RunSpec specs[] = {
+                    RunSpec::single("gcc", PolicyKind::Baseline, opts),
+                    RunSpec::mix("gcc", "mcf", PolicyKind::Slip, opts),
+                    RunSpec::replicated("gcc", 4, PolicyKind::Baseline,
+                                        opts),
+                };
+                built += std::size(specs);
+            }
+        });
+    while (built.load() == 0)
+        std::this_thread::yield();
+
+    const std::string prefix =
+        "SLIP_RUNSPEC_TEST_ENV_" + std::to_string(::getpid()) + "_";
+    std::vector<std::string> names;
+    for (std::size_t i = 0; i < 4000; ++i) {
+        names.push_back(prefix + std::to_string(i));
+        EXPECT_EQ(::setenv(names.back().c_str(), "1", 1), 0);
+    }
+    done = true;
+    for (auto &t : builders)
+        t.join();
+    for (const auto &n : names)
+        ::unsetenv(n.c_str());
 }
 
 TEST(SweepRunner, SecondRunnerHitsDiskCache)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for src/util: bit ops, PRNG, fixed point, saturating
- * counters, stats, the table formatter, and the JSON serializer every
+ * counters, the table formatter, and the JSON serializer every
  * artifact (run reports, --profile, traces) shares.
  */
 
@@ -15,7 +15,6 @@
 #include "util/json.hh"
 #include "util/random.hh"
 #include "util/saturating.hh"
-#include "util/stats.hh"
 #include "util/table.hh"
 
 namespace slip {
@@ -328,41 +327,6 @@ TEST(SaturatingTest, TwoBitSaturation)
     EXPECT_EQ(c.count(0), 3);
     EXPECT_TRUE(c.increment(0));  // halving triggered
     EXPECT_EQ(c.count(0), 2);     // 3/2 = 1, +1
-}
-
-TEST(StatsTest, CounterAndAccumulator)
-{
-    StatGroup g("l2");
-    g.counter("hits").inc();
-    g.counter("hits").inc(4);
-    EXPECT_EQ(g.counter("hits").value(), 5u);
-    g.accum("energy").add(1.5);
-    g.accum("energy").add(2.5);
-    EXPECT_DOUBLE_EQ(g.accum("energy").sum(), 4.0);
-    EXPECT_DOUBLE_EQ(g.accum("energy").mean(), 2.0);
-    g.reset();
-    EXPECT_EQ(g.counter("hits").value(), 0u);
-    EXPECT_EQ(g.accum("energy").samples(), 0u);
-}
-
-TEST(StatsTest, HistogramOverflowBin)
-{
-    Histogram h(4);
-    h.sample(0);
-    h.sample(3);
-    h.sample(99);  // clamps into last bin
-    EXPECT_EQ(h.bin(0), 1u);
-    EXPECT_EQ(h.bin(3), 2u);
-    EXPECT_EQ(h.total(), 3u);
-    EXPECT_DOUBLE_EQ(h.fraction(3), 2.0 / 3.0);
-}
-
-TEST(StatsTest, DumpContainsNames)
-{
-    StatGroup g("dram");
-    g.counter("reads").inc(7);
-    const std::string out = g.dump();
-    EXPECT_NE(out.find("dram.reads 7"), std::string::npos);
 }
 
 TEST(TableTest, RendersAligned)
