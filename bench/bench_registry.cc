@@ -9,10 +9,8 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 
-#include "mem/trace_io.hh"
 #include "obs/epoch_series.hh"
 #include "obs/metrics.hh"
 #include "obs/report.hh"
@@ -101,28 +99,6 @@ reportLevel(const std::string &name, const CacheLevelStats &s)
     return lvl;
 }
 
-/** Content hash(es) of a spec's `trace:` workloads, "" when none. */
-std::string
-specTraceHash(const RunSpec &spec)
-{
-    std::string hashes;
-    for (const std::string *b : {&spec.benchmark, &spec.benchmarkB}) {
-        if (b->empty() || !isTraceWorkload(*b))
-            continue;
-        std::string err;
-        const std::uint64_t h =
-            traceFileHash(traceWorkloadPath(*b), &err);
-        if (!err.empty())
-            continue;  // validated earlier; report the runnable state
-        std::ostringstream os;
-        os << std::hex << h;
-        if (!hashes.empty())
-            hashes += "+";
-        hashes += os.str();
-    }
-    return hashes;
-}
-
 /**
  * Write one slip-report-v1 artifact per distinct run into @p dir.
  * Provenance comes from the RunSpec (plus the scenario name when the
@@ -188,7 +164,8 @@ writeReports(const std::string &dir, const SweepRunner &runner,
             prov.scenario = sit->second;
         prov.hierarchyKey = spec.opts.config.hierarchy.key();
         prov.cacheKeyVersion = kCacheKeyVersion;
-        prov.traceHash = specTraceHash(spec);
+        prov.traceHash =
+            traceWorkloadHash({spec.benchmark, spec.benchmarkB});
         prov.runThreads = spec.opts.config.runThreads;
         prov.refs = spec.opts.refs;
         prov.warmup = spec.opts.warmup;

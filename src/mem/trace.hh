@@ -1,8 +1,9 @@
 /**
  * @file
- * Access-trace plumbing: a source interface produced by workload
- * generators and consumed by the hierarchy simulator, plus an in-memory
- * trace buffer useful for tests and offline analysis.
+ * Access-trace plumbing: the one pull interface that workload
+ * generators and trace replays implement and the hierarchy simulator
+ * consumes, plus an in-memory trace buffer useful for tests and
+ * offline analysis.
  */
 
 #ifndef SLIP_MEM_TRACE_HH
@@ -17,8 +18,9 @@
 namespace slip {
 
 /**
- * A pull-based source of memory accesses. Workload generators implement
- * this; the system simulator pulls one access per simulated reference.
+ * A pull-based source of memory accesses. Workload generators and
+ * trace replays implement nextBatch; the system simulator pulls one
+ * chunk per core at a time through it.
  */
 class AccessSource
 {
@@ -26,32 +28,21 @@ class AccessSource
     virtual ~AccessSource() = default;
 
     /**
+     * Produce up to @p max accesses into @p out, one virtual call per
+     * chunk instead of per reference. A short return means the source
+     * is exhausted.
+     */
+    virtual std::size_t nextBatch(MemAccess *out, std::size_t max) = 0;
+
+    /**
      * Produce the next access.
      * @param out receives the access when available
      * @return false when the source is exhausted
      */
-    virtual bool next(MemAccess &out) = 0;
-
-    /**
-     * Produce up to @p max accesses into @p out, one virtual call per
-     * chunk instead of per reference (the simulator's run loop pulls
-     * through this). Generation order is identical to repeated
-     * next() calls; a short return means the source is exhausted.
-     */
-    virtual std::size_t
-    nextBatch(MemAccess *out, std::size_t max)
-    {
-        std::size_t n = 0;
-        while (n < max && next(out[n]))
-            ++n;
-        return n;
-    }
-
-    /** Restart the source from the beginning, if supported. */
-    virtual void reset() {}
+    bool next(MemAccess &out) { return nextBatch(&out, 1) == 1; }
 };
 
-/** A fixed in-memory trace, replayable any number of times. */
+/** A fixed in-memory trace, replayed once. */
 class TraceBuffer : public AccessSource
 {
   public:
@@ -66,15 +57,6 @@ class TraceBuffer : public AccessSource
     std::size_t size() const { return _accesses.size(); }
     const MemAccess &at(std::size_t i) const { return _accesses.at(i); }
 
-    bool
-    next(MemAccess &out) override
-    {
-        if (_pos >= _accesses.size())
-            return false;
-        out = _accesses[_pos++];
-        return true;
-    }
-
     std::size_t
     nextBatch(MemAccess *out, std::size_t max) override
     {
@@ -85,55 +67,9 @@ class TraceBuffer : public AccessSource
         return n;
     }
 
-    void reset() override { _pos = 0; }
-
   private:
     std::vector<MemAccess> _accesses;
     std::size_t _pos = 0;
-};
-
-/**
- * Truncates another source after a fixed number of accesses; used to run
- * equal-length measurement windows across workloads.
- */
-class LimitedSource : public AccessSource
-{
-  public:
-    LimitedSource(AccessSource &inner, std::size_t limit)
-        : _inner(inner), _limit(limit)
-    {}
-
-    bool
-    next(MemAccess &out) override
-    {
-        if (_taken >= _limit)
-            return false;
-        if (!_inner.next(out))
-            return false;
-        ++_taken;
-        return true;
-    }
-
-    std::size_t
-    nextBatch(MemAccess *out, std::size_t max) override
-    {
-        const std::size_t n =
-            _inner.nextBatch(out, std::min(max, _limit - _taken));
-        _taken += n;
-        return n;
-    }
-
-    void
-    reset() override
-    {
-        _inner.reset();
-        _taken = 0;
-    }
-
-  private:
-    AccessSource &_inner;
-    std::size_t _limit;
-    std::size_t _taken = 0;
 };
 
 } // namespace slip

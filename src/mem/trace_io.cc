@@ -1,7 +1,6 @@
 #include "mem/trace_io.hh"
 
 #include <cerrno>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 
@@ -9,14 +8,6 @@
 
 #ifdef SLIP_HAVE_ZLIB
 #include <zlib.h>
-#endif
-
-#if defined(__unix__) || defined(__APPLE__)
-#define SLIP_TRACE_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
 #endif
 
 namespace slip {
@@ -153,11 +144,6 @@ struct TraceInput::Impl
     TraceCompression comp = TraceCompression::None;
     std::uint64_t offset = 0;  ///< decoded bytes handed out
 
-    // mmap fast path (plain regular files).
-    void *map = nullptr;
-    std::size_t mapSize = 0;
-    std::size_t mapPos = 0;
-
 #ifdef SLIP_HAVE_ZLIB
     z_stream z{};
     bool zLive = false;
@@ -172,10 +158,6 @@ struct TraceInput::Impl
 #ifdef SLIP_HAVE_ZLIB
         if (zLive)
             inflateEnd(&z);
-#endif
-#ifdef SLIP_TRACE_HAVE_MMAP
-        if (map)
-            munmap(map, mapSize);
 #endif
         if (file)
             std::fclose(file);
@@ -230,21 +212,6 @@ TraceInput::open(const std::string &path)
                       "`gunzip` first)";
 #endif
     }
-
-#ifdef SLIP_TRACE_HAVE_MMAP
-    // Plain regular files stream from a read-only mapping: no copies
-    // into stdio buffers, and the page cache bounds residency.
-    struct stat st;
-    if (fstat(fileno(im.file), &st) == 0 && S_ISREG(st.st_mode) &&
-        st.st_size > 0) {
-        void *m = mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                       PROT_READ, MAP_PRIVATE, fileno(im.file), 0);
-        if (m != MAP_FAILED) {
-            im.map = m;
-            im.mapSize = static_cast<std::size_t>(st.st_size);
-        }
-    }
-#endif
     return "";
 }
 
@@ -254,18 +221,6 @@ TraceInput::read(void *dst, std::size_t max, std::string &err)
     Impl &im = *_impl;
     if (max == 0)
         return 0;
-
-    if (im.map) {
-        const std::size_t n =
-            std::min(max, im.mapSize - im.mapPos);
-        std::memcpy(dst,
-                    static_cast<const std::uint8_t *>(im.map) +
-                        im.mapPos,
-                    n);
-        im.mapPos += n;
-        im.offset += n;
-        return n;
-    }
 
 #ifdef SLIP_HAVE_ZLIB
     if (im.comp == TraceCompression::Gzip) {
@@ -333,10 +288,6 @@ TraceInput::rewind()
 {
     Impl &im = *_impl;
     im.offset = 0;
-    if (im.map) {
-        im.mapPos = 0;
-        return "";
-    }
     if (std::fseek(im.file, 0, SEEK_SET) != 0)
         return im.path + ": seek error: " + errnoMessage();
 #ifdef SLIP_HAVE_ZLIB
@@ -752,11 +703,10 @@ TraceWriter::create(const std::string &path, TraceFormat format,
         return fail(path + ": core count " +
                     std::to_string(coreCount) + " out of range (1.." +
                     std::to_string(kTrc2MaxCores) + ")");
-    if (format != TraceFormat::Sliptrc2 && coreCount > 1)
-        return fail(path + ": the " +
+    if (format != TraceFormat::Sliptrc2)
+        return fail(path + ": cannot write the " +
                     std::string(traceFormatName(format)) +
-                    " format is single-core; use SLIPTRC2 for " +
-                    std::to_string(coreCount) + " cores");
+                    " format (only SLIPTRC2 is written)");
     if (endsWith(path, ".zst"))
         return fail(path + ": unsupported compression: zstd (write "
                            "plain or .gz)");
@@ -779,23 +729,18 @@ TraceWriter::create(const std::string &path, TraceFormat format,
 
     std::unique_ptr<TraceWriter> w(new TraceWriter);
     w->_path = path;
-    w->_format = format;
     w->_comp = comp;
     w->_coreCount = coreCount;
     w->_file = f;
     w->_prevAddr.assign(coreCount, 0);
     w->_chunk.reserve(kIoChunk + 64);
 
-    if (format == TraceFormat::Sliptrc2) {
-        w->_chunk.insert(w->_chunk.end(), kMagic2, kMagic2 + 8);
-        putLe32(w->_chunk, kTrc2HeaderBytes);
-        putLe32(w->_chunk, kTrc2FlagIcount);
-        putLe32(w->_chunk, coreCount);
-        putLe32(w->_chunk, 0);  // reserved
-        putLe64(w->_chunk, 0);  // record count, patched at close
-    } else if (format == TraceFormat::Sliptrc1) {
-        w->_chunk.insert(w->_chunk.end(), kMagic1, kMagic1 + 8);
-    }
+    w->_chunk.insert(w->_chunk.end(), kMagic2, kMagic2 + 8);
+    putLe32(w->_chunk, kTrc2HeaderBytes);
+    putLe32(w->_chunk, kTrc2FlagIcount);
+    putLe32(w->_chunk, coreCount);
+    putLe32(w->_chunk, 0);  // reserved
+    putLe64(w->_chunk, 0);  // record count, patched at close
     return w;
 }
 
@@ -842,40 +787,19 @@ TraceWriter::append(const TraceRecord &rec)
     slip_assert(!_closed, "append to a closed trace writer");
     slip_assert(rec.core < _coreCount,
                 "trace record core out of range");
-    switch (_format) {
-      case TraceFormat::Sliptrc2: {
-        std::uint8_t head = rec.write ? kHeadWrite : 0;
-        if (rec.core != _core)
-            head |= kHeadCore;
-        put(head);
-        if (head & kHeadCore) {
-            putVarint(rec.core);
-            _core = rec.core;
-        }
-        const std::int64_t delta = static_cast<std::int64_t>(
-            rec.addr - _prevAddr[_core]);
-        putVarint(zigzagEncode(delta));
-        _prevAddr[_core] = rec.addr;
-        putVarint(rec.icountDelta);
-        break;
-      }
-      case TraceFormat::Sliptrc1: {
-        std::uint8_t enc[9];
-        for (int i = 0; i < 8; ++i)
-            enc[i] = static_cast<std::uint8_t>(rec.addr >> (8 * i));
-        enc[8] = rec.write ? 1 : 0;
-        _chunk.insert(_chunk.end(), enc, enc + sizeof(enc));
-        break;
-      }
-      case TraceFormat::Text: {
-        char line[32];
-        const int n = std::snprintf(line, sizeof(line),
-                                    "%c %" PRIx64 "\n",
-                                    rec.write ? 'W' : 'R', rec.addr);
-        _chunk.insert(_chunk.end(), line, line + n);
-        break;
-      }
+    std::uint8_t head = rec.write ? kHeadWrite : 0;
+    if (rec.core != _core)
+        head |= kHeadCore;
+    put(head);
+    if (head & kHeadCore) {
+        putVarint(rec.core);
+        _core = rec.core;
     }
+    const std::int64_t delta =
+        static_cast<std::int64_t>(rec.addr - _prevAddr[_core]);
+    putVarint(zigzagEncode(delta));
+    _prevAddr[_core] = rec.addr;
+    putVarint(rec.icountDelta);
     ++_count;
     if (_comp == TraceCompression::None && _chunk.size() >= kIoChunk) {
         const std::string err = flushChunk();
@@ -903,10 +827,8 @@ TraceWriter::close()
 
     if (err.empty() && _comp == TraceCompression::Gzip) {
 #ifdef SLIP_HAVE_ZLIB
-        if (_format == TraceFormat::Sliptrc2)
-            for (int i = 0; i < 8; ++i)
-                _all[24 + i] =
-                    static_cast<std::uint8_t>(_count >> (8 * i));
+        for (int i = 0; i < 8; ++i)
+            _all[24 + i] = static_cast<std::uint8_t>(_count >> (8 * i));
         z_stream z{};
         // 15+16: emit a gzip (not zlib) wrapper.
         if (deflateInit2(&z, Z_DEFAULT_COMPRESSION, Z_DEFLATED,
@@ -932,7 +854,7 @@ TraceWriter::close()
             deflateEnd(&z);
         }
 #endif
-    } else if (err.empty() && _format == TraceFormat::Sliptrc2) {
+    } else if (err.empty()) {
         // Patch the record count into the header on disk.
         std::uint8_t cnt[8];
         for (int i = 0; i < 8; ++i)
@@ -983,12 +905,6 @@ TraceSource::open(const std::string &path, unsigned core, bool loop,
     return src;
 }
 
-bool
-TraceSource::next(MemAccess &out)
-{
-    return nextBatch(&out, 1) == 1;
-}
-
 std::size_t
 TraceSource::nextBatch(MemAccess *out, std::size_t max)
 {
@@ -1020,15 +936,6 @@ TraceSource::nextBatch(MemAccess *out, std::size_t max)
             fatal("%s", err.c_str());
     }
     return n;
-}
-
-void
-TraceSource::reset()
-{
-    _matchedThisPass = 0;
-    const std::string err = _reader.rewind();
-    if (!err.empty())
-        fatal("%s", err.c_str());
 }
 
 // ---------------------------------------------------------------------

@@ -4,27 +4,28 @@
  * from a real run with Pin/DynamoRIO/ChampSim, or dumped from the
  * built-in generators) instead of the synthetic workloads.
  *
- * Formats, newest first:
+ * Formats, newest first (all three are read; only SLIPTRC2 is
+ * written):
  *  - SLIPTRC2 ("SLIPTRC2" magic): a self-describing 32-byte header
  *    (record count, core count, format flags) followed by one
  *    varint/delta-coded record per reference — (core, addr, r/w,
  *    icount-delta). Multicore capable: records carry a core id and
  *    readers demux per core.
  *  - SLIPTRC1 ("SLIPTRC1" magic): the legacy 9-byte fixed record
- *    (8-byte LE address + type byte); single-core, still readable.
+ *    (8-byte LE address + type byte); single-core.
  *  - text: one "R|W <hex-addr>" per line, `#` comments; single-core,
  *    easy to generate from anything.
  *
  * Readers auto-detect the format and transparently decompress gzip
  * (`.gz`, when the build found zlib); zstd input is recognized and
  * rejected with a named "unsupported compression" error. Plain files
- * are mmap'd (chunked stdio reads as fallback), and gzip inflates in
- * fixed-size chunks, so multi-GB traces stream with bounded memory.
+ * are read and gzip inflated in fixed-size stdio chunks, so multi-GB
+ * traces stream with bounded memory.
  *
  * Error contract: open/parse failures are *recoverable* — every entry
  * point reports a path-and-offset-named error string instead of
  * aborting, so scenario validation can surface "$.workloads[i]: ..."
- * messages before a run starts. (TraceSource::next is the one
+ * messages before a run starts. (TraceSource::nextBatch is the one
  * exception: the file was validated at open, so a mid-run decode
  * error means the file changed underneath the run and is fatal.)
  *
@@ -93,11 +94,10 @@ struct TraceInfo
 };
 
 /**
- * Streaming byte input with transparent decompression: mmap for plain
- * regular files (chunked stdio reads as fallback), chunked zlib
- * inflation for gzip. Also used by the foreign-format importers
- * (mem/trace_import.hh) so compressed ChampSim traces import
- * directly.
+ * Streaming byte input with transparent decompression: chunked stdio
+ * reads, inflated by zlib for gzip. Also used by the foreign-format
+ * importers (mem/trace_import.hh) so compressed ChampSim traces
+ * import directly.
  */
 class TraceInput
 {
@@ -187,19 +187,17 @@ class TraceReader
 };
 
 /**
- * Writes a trace in any supported format. SLIPTRC2 is the default;
- * the legacy formats remain for round-trip coverage and external
- * consumers. A ".gz" suffix compresses the output with zlib (the
- * whole encoded stream is buffered so the header's record count can
- * be patched before compression — for very large captures write
- * plain and compress externally).
+ * Writes a SLIPTRC2 trace. A ".gz" suffix compresses the output with
+ * zlib (the whole encoded stream is buffered so the header's record
+ * count can be patched before compression — for very large captures
+ * write plain and compress externally).
  */
 class TraceWriter
 {
   public:
     /** Open @p path; returns nullptr with @p err set on failure
-     * (unwritable path, ".gz" without zlib, multicore legacy
-     * format, ".zst"). */
+     * (unwritable path, ".gz" without zlib, ".zst", or a @p format
+     * other than SLIPTRC2). */
     static std::unique_ptr<TraceWriter>
     create(const std::string &path,
            TraceFormat format = TraceFormat::Sliptrc2,
@@ -210,8 +208,7 @@ class TraceWriter
     TraceWriter(const TraceWriter &) = delete;
     TraceWriter &operator=(const TraceWriter &) = delete;
 
-    /** Append one record; rec.core must be < coreCount (asserted).
-     * Legacy single-core formats drop the core and icount fields. */
+    /** Append one record; rec.core must be < coreCount (asserted). */
     void append(const TraceRecord &rec);
 
     /** Convenience for core-0 capture tees. */
@@ -233,7 +230,6 @@ class TraceWriter
     std::string flushChunk();
 
     std::string _path;
-    TraceFormat _format = TraceFormat::Sliptrc2;
     TraceCompression _comp = TraceCompression::None;
     unsigned _coreCount = 1;
     std::FILE *_file = nullptr;
@@ -266,15 +262,7 @@ class TraceSource : public AccessSource
                                              bool loop,
                                              std::string *err);
 
-    bool next(MemAccess &out) override;
-
-    /** Decode up to @p max accesses in one call; the same records,
-     * demux and looping as repeated next() calls. */
     std::size_t nextBatch(MemAccess *out, std::size_t max) override;
-
-    void reset() override;
-
-    const TraceInfo &info() const { return _reader.info(); }
 
   private:
     TraceSource() = default;

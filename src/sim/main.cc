@@ -17,10 +17,8 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 
-#include "mem/trace_io.hh"
 #include "obs/epoch_series.hh"
 #include "obs/metrics.hh"
 #include "obs/report.hh"
@@ -31,6 +29,7 @@
 #include "sim/system.hh"
 #include "sweep/run_spec.hh"
 #include "workloads/spec_suite.hh"
+#include "workloads/trace_workload.hh"
 
 using namespace slip;
 
@@ -43,10 +42,11 @@ usage()
         "slip-sim — SLIP cache-hierarchy simulator (ISCA 2015)\n"
         "\n"
         "  --bench NAME        workload from the SPEC-like suite\n"
-        "  --trace FILE        drive from a trace file instead\n"
-        "                      (SLIPTRC2/SLIPTRC1/text, plain or\n"
-        "                      .gz; multicore SLIPTRC2 demuxes per\n"
-        "                      core — see slip-trace)\n"
+        "  --trace FILE        replay a trace file instead: the\n"
+        "                      workload trace:FILE (SLIPTRC2/SLIPTRC1/\n"
+        "                      text, plain or .gz; loops when short;\n"
+        "                      multicore SLIPTRC2 demuxes per core —\n"
+        "                      see slip-trace)\n"
         "  --scenario FILE     load a declarative JSON scenario\n"
         "                      (hierarchy, policy, workloads; see\n"
         "                      scenarios/README.md). --refs/--warmup/\n"
@@ -54,7 +54,6 @@ usage()
         "                      flags still apply on top; system\n"
         "                      flags (--policy, --cores, --tech, ...)\n"
         "                      are rejected: edit the scenario\n"
-        "  --loop-trace        loop the trace when exhausted\n"
         "  --policy P          baseline | nurapid | lru-pea | slip |\n"
         "                      slip+abp           (default baseline)\n"
         "  --refs N            measured references (default 2000000)\n"
@@ -112,7 +111,6 @@ main(int argc, char **argv)
 {
     std::string benchn, trace_path, scenario_path, stats_path,
         report_path, trace_out_path;
-    bool loop_trace = false;
     bool refs_set = false, warmup_set = false, seed_set = false;
     unsigned run_threads = 0;  // 0 = not given on the command line
     std::uint64_t refs = 2'000'000;
@@ -158,8 +156,6 @@ main(int argc, char **argv)
             trace_path = value();
         } else if (arg == "--scenario") {
             scenario_path = value();
-        } else if (arg == "--loop-trace") {
-            loop_trace = true;
         } else if (arg == "--policy") {
             if (!parsePolicyKind(value(), cfg.policy))
                 fatal("unknown policy (see --help)");
@@ -230,7 +226,11 @@ main(int argc, char **argv)
         }
     }
 
+    // The run's workload names (one entry, or one per core) and the
+    // seed their generators start from.
     Scenario scenario;
+    std::vector<std::string> workloads;
+    std::uint64_t workload_seed = 0;
     if (!scenario_path.empty()) {
         if (!benchn.empty() || !trace_path.empty())
             fatal("--scenario is exclusive with --bench/--trace");
@@ -239,9 +239,6 @@ main(int argc, char **argv)
                   "instead",
                   system_flag.c_str(), kSystemFlags.at(system_flag),
                   scenario_path.c_str());
-        if (loop_trace)
-            fatal("--loop-trace is exclusive with --scenario; a "
-                  "scenario's trace: workloads always loop");
         const std::string err =
             loadScenarioFile(scenario_path, scenario);
         if (!err.empty())
@@ -254,8 +251,22 @@ main(int argc, char **argv)
             refs = scenario.refs;
         if (!warmup_set)
             warmup = scenario.refs ? scenario.warmup : ~0ull;
+        workloads = scenario.workloads;
+        workload_seed = scenario.workloadSeed;
     } else if (benchn.empty() && trace_path.empty()) {
         fatal("need --bench, --trace, or --scenario (see --help)");
+    } else {
+        // `--trace F` is the workload `trace:F`. Like a scenario's
+        // trace: workloads, it is validated before the run and loops.
+        workloads = {trace_path.empty() ? benchn
+                                        : kTraceWorkloadPrefix + trace_path};
+        workload_seed = cfg.seed;
+        if (isTraceWorkload(workloads[0])) {
+            const std::string err =
+                validateTraceWorkload(workloads[0], cfg.numCores);
+            if (!err.empty())
+                fatal("%s", err.c_str());
+        }
     }
     if (warmup == ~0ull)
         warmup = refs;
@@ -289,29 +300,15 @@ main(int argc, char **argv)
     std::vector<std::unique_ptr<AccessSource>> owned;
     std::vector<AccessSource *> sources;
     for (unsigned c = 0; c < cfg.numCores; ++c) {
-        if (!trace_path.empty()) {
-            std::string terr;
-            auto ts = TraceSource::open(trace_path, c, loop_trace,
-                                        &terr);
-            if (!ts)
-                fatal("%s", terr.c_str());
-            owned.push_back(std::move(ts));
-        } else if (!scenario_path.empty()) {
-            const std::string &name =
-                scenario.workloads.size() == 1 ? scenario.workloads[0]
-                                               : scenario.workloads[c];
-            owned.push_back(
-                makeMixSource(name, c, scenario.workloadSeed));
-        } else {
-            owned.push_back(makeMixSource(benchn, c, cfg.seed));
-        }
+        const std::string &name =
+            workloads.size() == 1 ? workloads[0] : workloads[c];
+        owned.push_back(makeMixSource(name, c, workload_seed));
         sources.push_back(owned.back().get());
     }
 
     const std::string what = !scenario_path.empty()
                                  ? "scenario " + scenario.name
-                                 : trace_path.empty() ? benchn
-                                                      : trace_path;
+                                 : workloads[0];
     inform("running %s / %s: %llu refs after %llu warm-up on %u "
            "core(s)",
            what.c_str(),
@@ -338,15 +335,9 @@ main(int argc, char **argv)
 
         obs::RunReportData report;
         obs::ReportProvenance &prov = report.provenance;
-        const std::string workload =
-            !scenario_path.empty() ? [&] {
-                std::string w;
-                for (const auto &name : scenario.workloads)
-                    w += (w.empty() ? "" : "+") + name;
-                return w;
-            }()
-            : !trace_path.empty() ? "trace:" + trace_path
-                                  : benchn;
+        std::string workload;
+        for (const auto &name : workloads)
+            workload += (workload.empty() ? "" : "+") + name;
         // Descriptive, filename-safe run id (slip-sim runs have no
         // sweep cache key).
         std::string key = "sim_" + workload + "_" +
@@ -362,15 +353,7 @@ main(int argc, char **argv)
         prov.scenario = scenario.name;
         prov.hierarchyKey = cfg.hierarchy.key();
         prov.cacheKeyVersion = kCacheKeyVersion;
-        if (!trace_path.empty()) {
-            std::string herr;
-            const std::uint64_t h = traceFileHash(trace_path, &herr);
-            if (herr.empty()) {
-                std::ostringstream hs;
-                hs << std::hex << h;
-                prov.traceHash = hs.str();
-            }
-        }
+        prov.traceHash = traceWorkloadHash(workloads);
         prov.runThreads = cfg.runThreads;
         prov.refs = refs;
         prov.warmup = warmup;

@@ -44,43 +44,21 @@ Workload::pickComponent()
     return _components.size() - 1;
 }
 
-void
-Workload::generateOne(MemAccess &out)
-{
-    const std::size_t idx = pickComponent();
-    out.addr = _components[idx]->next(_rng);
-    out.type = _rng.chance(_writeFraction) ? AccessType::Write
-                                           : AccessType::Read;
-
-    if (++_phasePos >= _phases[_phaseIdx].length) {
-        _phasePos = 0;
-        _phaseIdx = (_phaseIdx + 1) % _phases.size();
-    }
-}
-
-bool
-Workload::next(MemAccess &out)
-{
-    generateOne(out);
-    return true;
-}
-
 std::size_t
 Workload::nextBatch(MemAccess *out, std::size_t max)
 {
-    for (std::size_t n = 0; n < max; ++n)
-        generateOne(out[n]);
-    return max;
-}
+    for (std::size_t n = 0; n < max; ++n) {
+        const std::size_t idx = pickComponent();
+        out[n].addr = _components[idx]->next(_rng);
+        out[n].type = _rng.chance(_writeFraction) ? AccessType::Write
+                                                  : AccessType::Read;
 
-void
-Workload::reset()
-{
-    _rng.reseed(_seed);
-    for (auto &c : _components)
-        c->reset();
-    _phaseIdx = 0;
-    _phasePos = 0;
+        if (++_phasePos >= _phases[_phaseIdx].length) {
+            _phasePos = 0;
+            _phaseIdx = (_phaseIdx + 1) % _phases.size();
+        }
+    }
+    return max;
 }
 
 } // namespace slip

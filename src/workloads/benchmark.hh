@@ -40,7 +40,7 @@ class Workload : public AccessSource
      */
     Workload(std::string name, double write_fraction, std::uint64_t seed)
         : _name(std::move(name)), _writeFraction(write_fraction),
-          _rng(seed), _seed(seed)
+          _rng(seed)
     {}
 
     const std::string &name() const { return _name; }
@@ -60,16 +60,9 @@ class Workload : public AccessSource
         _phases.push_back({std::move(weights), length});
     }
 
-    bool next(MemAccess &out) override;
-
     std::size_t nextBatch(MemAccess *out, std::size_t max) override;
 
-    void reset() override;
-
   private:
-    /** The body of next(), shared with the batched fill. */
-    void generateOne(MemAccess &out);
-
     /** Pick a component index by the current phase's weights. */
     std::size_t pickComponent();
 
@@ -79,7 +72,6 @@ class Workload : public AccessSource
     std::string _name;
     double _writeFraction;
     Random _rng;
-    std::uint64_t _seed;
 
     std::vector<std::unique_ptr<Pattern>> _components;
     std::vector<Phase> _phases;
@@ -99,15 +91,6 @@ class OffsetSource : public AccessSource
         : _inner(std::move(inner)), _offset(offset)
     {}
 
-    bool
-    next(MemAccess &out) override
-    {
-        if (!_inner->next(out))
-            return false;
-        out.addr += _offset;
-        return true;
-    }
-
     std::size_t
     nextBatch(MemAccess *out, std::size_t max) override
     {
@@ -116,8 +99,6 @@ class OffsetSource : public AccessSource
             out[i].addr += _offset;
         return n;
     }
-
-    void reset() override { _inner->reset(); }
 
   private:
     std::unique_ptr<AccessSource> _inner;

@@ -1,6 +1,7 @@
 #include "workloads/trace_workload.hh"
 
-#include <vector>
+#include <algorithm>
+#include <sstream>
 
 #include "workloads/spec_suite.hh"
 
@@ -48,6 +49,26 @@ validateTraceWorkload(const std::string &name, unsigned cores)
     return "";
 }
 
+std::string
+traceWorkloadHash(const std::vector<std::string> &workloads)
+{
+    std::string hashes;
+    for (auto it = workloads.begin(); it != workloads.end(); ++it) {
+        if (!isTraceWorkload(*it) ||
+            std::find(workloads.begin(), it, *it) != it)
+            continue;
+        std::string err;
+        const std::uint64_t h =
+            traceFileHash(traceWorkloadPath(*it), &err);
+        if (!err.empty())
+            continue;
+        std::ostringstream os;
+        os << std::hex << h;
+        hashes += (hashes.empty() ? "" : "+") + os.str();
+    }
+    return hashes;
+}
+
 std::unique_ptr<AccessSource>
 makeTraceWorkloadSource(const std::string &name, unsigned core,
                         std::string *err)
@@ -65,7 +86,7 @@ std::string
 captureWorkloadTrace(const std::string &workload, unsigned cores,
                      std::uint64_t refsPerCore,
                      std::uint64_t workloadSeed,
-                     const std::string &outPath, TraceFormat format)
+                     const std::string &outPath)
 {
     if (cores == 0)
         return "capture needs at least one core";
@@ -81,7 +102,8 @@ captureWorkloadTrace(const std::string &workload, unsigned cores,
     }
 
     std::string err;
-    auto writer = TraceWriter::create(outPath, format, cores, &err);
+    auto writer =
+        TraceWriter::create(outPath, TraceFormat::Sliptrc2, cores, &err);
     if (!writer)
         return err;
 

@@ -3,7 +3,8 @@
  * Trace-driven workloads: the `trace:path[.gz]` workload-name scheme
  * that lets scenarios, slip-bench and slip-sim replay an on-disk
  * trace (mem/trace_io.hh) anywhere a registered synthetic workload
- * name is accepted.
+ * name is accepted. It is the only replay path: `slip-sim --trace F`
+ * runs the workload `trace:F`.
  *
  * Semantics:
  *  - `trace:/path/to/file.trc2[.gz]` resolves through makeMixSource
@@ -27,6 +28,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "mem/trace_io.hh"
 
@@ -51,6 +53,14 @@ std::string validateTraceWorkload(const std::string &name,
                                   unsigned cores);
 
 /**
+ * Content hashes (traceFileHash, hex) of the distinct `trace:` names
+ * among @p workloads, in first-appearance order and joined by "+";
+ * "" when there are none. A run report's provenance.trace_hash.
+ * Unreadable files are skipped: callers have validated them.
+ */
+std::string traceWorkloadHash(const std::vector<std::string> &workloads);
+
+/**
  * Open core @p core's looping replay source for @p name. Returns
  * nullptr with @p err set on failure (same checks as
  * validateTraceWorkload).
@@ -61,7 +71,8 @@ makeTraceWorkloadSource(const std::string &name, unsigned core,
 
 /**
  * Capture @p refsPerCore references per core of a registered
- * workload (or another `trace:` name) to @p outPath, interleaved
+ * workload (or another `trace:` name) to @p outPath as SLIPTRC2,
+ * interleaved
  * round-robin core 0..cores-1 exactly as System::run pulls them.
  * Uses the same per-core sources as a scenario run (makeMixSource
  * with @p workloadSeed), so replaying the capture at the same core
@@ -69,11 +80,11 @@ makeTraceWorkloadSource(const std::string &name, unsigned core,
  * capture covers warmup + measured references. Returns "" or an
  * error.
  */
-std::string captureWorkloadTrace(
-    const std::string &workload, unsigned cores,
-    std::uint64_t refsPerCore, std::uint64_t workloadSeed,
-    const std::string &outPath,
-    TraceFormat format = TraceFormat::Sliptrc2);
+std::string captureWorkloadTrace(const std::string &workload,
+                                 unsigned cores,
+                                 std::uint64_t refsPerCore,
+                                 std::uint64_t workloadSeed,
+                                 const std::string &outPath);
 
 } // namespace slip
 

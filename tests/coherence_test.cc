@@ -42,15 +42,17 @@ class SharedRegionSource : public AccessSource
         : _core(core), _lines(lines), _base(base)
     {}
 
-    bool
-    next(MemAccess &out) override
+    std::size_t
+    nextBatch(MemAccess *out, std::size_t max) override
     {
-        const std::uint64_t i = _n++;
-        const std::uint64_t line = (i * 7 + _core * 3) % _lines;
-        out.addr = _base + line * kLineSize;
-        out.type = (i % 3 == 0) ? AccessType::Write
-                                : AccessType::Read;
-        return true;
+        for (std::size_t k = 0; k < max; ++k) {
+            const std::uint64_t i = _n++;
+            const std::uint64_t line = (i * 7 + _core * 3) % _lines;
+            out[k].addr = _base + line * kLineSize;
+            out[k].type = (i % 3 == 0) ? AccessType::Write
+                                       : AccessType::Read;
+        }
+        return max;
     }
 
   private:

@@ -32,59 +32,6 @@ tempPath(const char *name)
         .string();
 }
 
-TEST(TraceIoTest, LegacyBinaryRoundTrip)
-{
-    const std::string path = tempPath("bin.trc");
-    {
-        std::string err;
-        auto w =
-            TraceWriter::create(path, TraceFormat::Sliptrc1, 1, &err);
-        ASSERT_NE(w, nullptr) << err;
-        w->append({0x1234, AccessType::Read});
-        w->append({0xABCDEF00, AccessType::Write});
-        EXPECT_EQ(w->written(), 2u);
-        EXPECT_EQ(w->close(), "");
-    }
-    std::string err;
-    auto src = TraceSource::open(path, 0, /*loop=*/false, &err);
-    ASSERT_NE(src, nullptr) << err;
-    EXPECT_EQ(src->info().format, TraceFormat::Sliptrc1);
-    MemAccess a;
-    ASSERT_TRUE(src->next(a));
-    EXPECT_EQ(a.addr, 0x1234u);
-    EXPECT_FALSE(a.isWrite());
-    ASSERT_TRUE(src->next(a));
-    EXPECT_EQ(a.addr, 0xABCDEF00u);
-    EXPECT_TRUE(a.isWrite());
-    EXPECT_FALSE(src->next(a));
-    std::filesystem::remove(path);
-}
-
-TEST(TraceIoTest, TextRoundTrip)
-{
-    const std::string path = tempPath("txt.trc");
-    {
-        std::string err;
-        auto w = TraceWriter::create(path, TraceFormat::Text, 1, &err);
-        ASSERT_NE(w, nullptr) << err;
-        w->append({0x40, AccessType::Write});
-        w->append({0x80, AccessType::Read});
-        EXPECT_EQ(w->close(), "");
-    }
-    std::string err;
-    auto src = TraceSource::open(path, 0, /*loop=*/false, &err);
-    ASSERT_NE(src, nullptr) << err;
-    EXPECT_EQ(src->info().format, TraceFormat::Text);
-    MemAccess a;
-    ASSERT_TRUE(src->next(a));
-    EXPECT_EQ(a.addr, 0x40u);
-    EXPECT_TRUE(a.isWrite());
-    ASSERT_TRUE(src->next(a));
-    EXPECT_EQ(a.addr, 0x80u);
-    EXPECT_FALSE(src->next(a));
-    std::filesystem::remove(path);
-}
-
 TEST(TraceIoTest, TextSkipsComments)
 {
     const std::string path = tempPath("cmt.trc");

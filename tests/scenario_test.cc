@@ -139,14 +139,20 @@ TEST(ReplKindKeys, RoundTrip)
 
 TEST(CheckedInScenarios, ValidAndCanonical)
 {
-    unsigned files = 0;
+    // Every checked-in scenario: a deleted or renamed file fails here.
+    std::set<std::string> required = {
+        "fig16_multicore", "fig16_shared", "golden_soplex_baseline",
+        "golden_soplex_slip", "hier2_flat_llc", "hier3_inclusive",
+        "hier3_mixed_policies", "hier3_multicore4", "hier3_shared4",
+        "hier3_shared16", "hier3_shared32", "hier3_shared64",
+        "hier4_deep"};
     for (const auto &entry :
          std::filesystem::directory_iterator(SLIP_SCENARIO_DIR)) {
         const std::filesystem::path &path = entry.path();
         if (path.extension() != ".json")
             continue;
         SCOPED_TRACE(path.string());
-        ++files;
+        required.erase(path.stem().string());
         const std::string text = readFile(path.string());
         Scenario s;
         ASSERT_EQ(parseScenarioText(text, s), "");
@@ -157,7 +163,8 @@ TEST(CheckedInScenarios, ValidAndCanonical)
         // round-trips and the files never drift in formatting.
         EXPECT_EQ(scenarioJson(s).dump() + "\n", text);
     }
-    EXPECT_GE(files, 28u);
+    for (const std::string &name : required)
+        ADD_FAILURE() << "missing scenarios/" << name << ".json";
 }
 
 // ---------------------------------------------------------------------

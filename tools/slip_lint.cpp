@@ -44,7 +44,7 @@
  *                      core, merge pops index-major/core-minor) is
  *                      easy to break from anywhere else.
  *   raw-fopen          std::fopen/freopen only inside mem/trace_io*
- *                      (the buffered/mmap/zlib byte layer). Everything
+ *                      (the buffered stdio/zlib byte layer). Everything
  *                      else goes through iostreams or TraceInput, so
  *                      error handling and the path-and-offset error
  *                      contract stay in one place.

@@ -3,9 +3,9 @@
  * slip-trace: capture, import, and inspect SLIP trace files.
  *
  *   slip-trace capture --workload NAME -o OUT [--cores N] [--refs N]
- *                      [--seed S] [--format sliptrc2|sliptrc1|text]
+ *                      [--seed S]
  *       Dump any registered workload (or another trace: name) to a
- *       trace file, interleaved round-robin across cores exactly as
+ *       SLIPTRC2 file, interleaved round-robin across cores exactly as
  *       System::run pulls references. A ".gz" suffix compresses.
  *
  *   slip-trace import --from champsim IN -o OUT
@@ -19,9 +19,9 @@
  *       Decode every record; exits 0 with "OK" or 1 with the
  *       path-and-offset-named error.
  *
- * Captured traces replay through `slip-sim --trace`, scenario
- * `"workload": "trace:path"` entries, and slip-bench (see
- * EXPERIMENTS.md, "Bring your own trace").
+ * Captured traces replay through `slip-sim --trace` (the workload
+ * `trace:path`), scenario `"workload": "trace:path"` entries, and
+ * slip-bench (see EXPERIMENTS.md, "Bring your own trace").
  */
 
 #include <cstdio>
@@ -45,7 +45,6 @@ usage()
         "usage:\n"
         "  slip-trace capture --workload NAME -o OUT [--cores N]\n"
         "             [--refs N] [--seed S]\n"
-        "             [--format sliptrc2|sliptrc1|text]\n"
         "  slip-trace import --from champsim|cpu_trace IN -o OUT\n"
         "  slip-trace info FILE\n"
         "  slip-trace validate FILE\n",
@@ -105,7 +104,7 @@ scanAndReport(const std::string &path, bool verbose)
 int
 doCapture(int argc, char **argv)
 {
-    std::string workload, out, format = "sliptrc2";
+    std::string workload, out;
     unsigned cores = 1;
     std::uint64_t refs = 1'000'000, seed = 0;
     for (int i = 0; i < argc; ++i) {
@@ -129,27 +128,14 @@ doCapture(int argc, char **argv)
             refs = std::strtoull(value(), nullptr, 0);
         else if (arg == "--seed")
             seed = std::strtoull(value(), nullptr, 0);
-        else if (arg == "--format")
-            format = value();
         else
             return usage();
     }
     if (workload.empty() || out.empty())
         return usage();
 
-    TraceFormat fmt;
-    if (format == "sliptrc2")
-        fmt = TraceFormat::Sliptrc2;
-    else if (format == "sliptrc1")
-        fmt = TraceFormat::Sliptrc1;
-    else if (format == "text")
-        fmt = TraceFormat::Text;
-    else
-        return fail("unknown format '" + format +
-                    "' (want sliptrc2|sliptrc1|text)");
-
-    const std::string err = captureWorkloadTrace(
-        workload, cores, refs, seed, out, fmt);
+    const std::string err =
+        captureWorkloadTrace(workload, cores, refs, seed, out);
     if (!err.empty())
         return fail(err);
     std::printf("captured %llu records (%s x %u core(s), %llu "
