@@ -1,8 +1,10 @@
 #include "mem/trace_io.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "util/logging.hh"
 
@@ -48,6 +50,18 @@ getVarint(const std::uint8_t *&p, const std::uint8_t *end,
             return VarintStatus::Ok;
     }
     return VarintStatus::Overrun;
+}
+
+/** Why the varint field @p what failed to decode. */
+std::string
+varintError(VarintStatus st, const char *what)
+{
+    if (st == VarintStatus::Overrun)
+        return std::string("varint overrun decoding ") + what +
+               " (more than " + std::to_string(kMaxVarintBytes) +
+               " bytes)";
+    return std::string("truncated varint decoding ") + what +
+           " (file ends mid-record)";
 }
 
 std::uint64_t
@@ -143,15 +157,34 @@ struct TraceInput::Impl
     std::FILE *file = nullptr;
     TraceCompression comp = TraceCompression::None;
     std::uint64_t offset = 0;  ///< decoded bytes handed out
+    /** The magic bytes open() sniffed, handed out again ahead of the
+     * rest of the file, so open never seeks and pipes read too. */
+    std::uint8_t head[4] = {};
+    std::size_t headPos = 0, headLen = 0;
 
 #ifdef SLIP_HAVE_ZLIB
     z_stream z{};
     bool zLive = false;
     bool zStreamEnd = false;
-    std::vector<std::uint8_t> zin;
+    std::unique_ptr<std::uint8_t[]> zin;  ///< kIoChunk compressed bytes
     std::size_t zinPos = 0, zinLen = 0;
     bool zInEof = false;
 #endif
+
+    /** Up to @p max raw (as stored) bytes: the sniffed head, then the
+     * file. Short only at the end of the file or on a read error
+     * (@p err set). */
+    std::size_t readRaw(std::uint8_t *dst, std::size_t max,
+                        std::string &err)
+    {
+        const std::size_t h = std::min(max, headLen - headPos);
+        std::memcpy(dst, head + headPos, h);
+        headPos += h;
+        const std::size_t n = h + std::fread(dst + h, 1, max - h, file);
+        if (n < max && std::ferror(file))
+            err = path + ": read error: " + errnoMessage();
+        return n;
+    }
 
     ~Impl()
     {
@@ -176,14 +209,15 @@ TraceInput::open(const std::string &path)
     if (!im.file)
         return path + ": cannot open trace: " + errnoMessage();
 
-    // Sniff the container compression from the leading magic bytes.
-    std::uint8_t magic[4] = {0, 0, 0, 0};
-    const std::size_t got = std::fread(magic, 1, sizeof(magic),
+    // Sniff the container compression from the leading magic bytes,
+    // which readRaw hands out again.
+    const std::uint8_t *const magic = im.head;
+    const std::size_t got = std::fread(im.head, 1, sizeof(im.head),
                                        im.file);
     if (std::ferror(im.file))
         return path + ": read error: " + errnoMessage();
-    if (std::fseek(im.file, 0, SEEK_SET) != 0)
-        return path + ": seek error: " + errnoMessage();
+    im.headPos = 0;
+    im.headLen = got;
 
     if (got >= 2 && magic[0] == 0x1f && magic[1] == 0x8b)
         im.comp = TraceCompression::Gzip;
@@ -204,7 +238,7 @@ TraceInput::open(const std::string &path)
         if (inflateInit2(&im.z, 15 + 32) != Z_OK)
             return path + ": cannot initialize gzip decompression";
         im.zLive = true;
-        im.zin.resize(kIoChunk);
+        im.zin = std::make_unique_for_overwrite<std::uint8_t[]>(kIoChunk);
         return "";
 #else
         return path + ": unsupported compression: gzip (this build "
@@ -228,13 +262,13 @@ TraceInput::read(void *dst, std::size_t max, std::string &err)
         im.z.avail_out = static_cast<uInt>(max);
         while (im.z.avail_out > 0) {
             if (im.zinPos == im.zinLen && !im.zInEof) {
-                im.zinLen = std::fread(im.zin.data(), 1,
-                                       im.zin.size(), im.file);
+                // No more compressed bytes than the output asked for,
+                // so a header-sized read stays header-sized.
+                im.zinLen = im.readRaw(im.zin.get(),
+                                       std::min(kIoChunk, max), err);
                 im.zinPos = 0;
-                if (std::ferror(im.file)) {
-                    err = im.path + ": read error: " + errnoMessage();
+                if (!err.empty())
                     return 0;
-                }
                 if (im.zinLen == 0)
                     im.zInEof = true;
             }
@@ -254,7 +288,7 @@ TraceInput::read(void *dst, std::size_t max, std::string &err)
                       "mid-member)";
                 return 0;
             }
-            im.z.next_in = im.zin.data() + im.zinPos;
+            im.z.next_in = im.zin.get() + im.zinPos;
             im.z.avail_in = static_cast<uInt>(im.zinLen - im.zinPos);
             const int rc = inflate(&im.z, Z_NO_FLUSH);
             im.zinPos = im.zinLen - im.z.avail_in;
@@ -274,11 +308,10 @@ TraceInput::read(void *dst, std::size_t max, std::string &err)
     }
 #endif
 
-    const std::size_t n = std::fread(dst, 1, max, im.file);
-    if (n < max && std::ferror(im.file)) {
-        err = im.path + ": read error: " + errnoMessage();
+    const std::size_t n =
+        im.readRaw(static_cast<std::uint8_t *>(dst), max, err);
+    if (!err.empty())
         return 0;
-    }
     im.offset += n;
     return n;
 }
@@ -290,6 +323,7 @@ TraceInput::rewind()
     im.offset = 0;
     if (std::fseek(im.file, 0, SEEK_SET) != 0)
         return im.path + ": seek error: " + errnoMessage();
+    im.headPos = im.headLen = 0;  // the file rereads its own head
 #ifdef SLIP_HAVE_ZLIB
     if (im.comp == TraceCompression::Gzip) {
         if (inflateReset(&im.z) != Z_OK)
@@ -336,21 +370,23 @@ TraceReader::at(std::uint64_t off) const
 /**
  * Top the window up to at least @p want buffered bytes (fewer only at
  * the end of input), carrying the unconsumed tail to the front first.
+ * Reads ask for the whole free window, or with @p exact for @p want
+ * bytes only (the header parse).
  * @return true when at least one byte is buffered
  */
 bool
-TraceReader::fill(std::string &err, std::size_t want)
+TraceReader::fill(std::string &err, std::size_t want, bool exact)
 {
     if (_len - _pos >= want || _end)
         return _pos < _len;
     const std::size_t tail = _len - _pos;
-    std::memmove(_buf.data(), _buf.data() + _pos, tail);
+    std::memmove(_buf.get(), _buf.get() + _pos, tail);
     _base += _pos;
     _pos = 0;
     _len = tail;
     while (_len < want && !_end) {
-        const std::size_t n =
-            _in.read(_buf.data() + _len, _buf.size() - _len, err);
+        const std::size_t n = _in.read(
+            _buf.get() + _len, (exact ? want : kIoChunk) - _len, err);
         if (!err.empty())
             return false;
         _end = n == 0;
@@ -376,11 +412,13 @@ TraceReader::parseHeader()
     _core = 0;
     _nread = 0;
 
+    // Decode only what the header needs: a magic, then the rest of a
+    // SLIPTRC2 header. The first record read fills the whole window.
     std::string err;
-    fill(err);
+    fill(err, sizeof(kMagic2), /*exact=*/true);
     if (!err.empty())
         return err;
-    const std::size_t avail = _len - _pos;
+    std::size_t avail = _len - _pos;
 
     const bool m2 = avail >= sizeof(kMagic2) &&
                     std::memcmp(&_buf[_pos], kMagic2,
@@ -404,7 +442,10 @@ TraceReader::parseHeader()
         return "";
     }
 
-    // The 32-byte SLIPTRC2 header lands well inside the first window.
+    fill(err, kTrc2HeaderBytes, /*exact=*/true);
+    if (!err.empty())
+        return err;
+    avail = _len - _pos;
     if (avail < kTrc2HeaderBytes)
         return at(avail) + "truncated header: file ends here (a "
                            "SLIPTRC2 header is " +
@@ -436,15 +477,16 @@ TraceReader::parseHeader()
 
     _pos += kTrc2HeaderBytes;
     // Skip extension bytes a newer writer may have appended.
-    for (std::uint32_t skip = headerBytes - kTrc2HeaderBytes;
-         skip > 0; --skip) {
-        const int b = getByte(err);
-        if (b < 0)
+    for (std::size_t skip = headerBytes - kTrc2HeaderBytes; skip > 0;) {
+        if (!fill(err, std::min(skip, kIoChunk), /*exact=*/true))
             return !err.empty()
                        ? err
                        : at(offset()) +
                              "truncated header: file ends inside the "
                              "extended header";
+        const std::size_t n = std::min(skip, _len - _pos);
+        _pos += n;
+        skip -= n;
     }
 
     _info.format = TraceFormat::Sliptrc2;
@@ -459,7 +501,8 @@ std::string
 TraceReader::open(const std::string &path)
 {
     _path = path;
-    _buf.resize(kIoChunk);
+    if (!_buf)
+        _buf = std::make_unique_for_overwrite<std::uint8_t[]>(kIoChunk);
     _pos = _len = 0;
     _base = 0;
     _end = false;
@@ -481,94 +524,114 @@ TraceReader::rewind()
     return parseHeader();
 }
 
-bool
-TraceReader::nextSliptrc2(TraceRecord &out, std::string &err)
+template <class Emit>
+std::size_t
+TraceReader::decode(std::size_t max, Emit &&emit, std::string &err)
 {
-    if (_nread == _info.recordCount) {
-        // The header promised exactly recordCount records; any byte
-        // beyond them is a sign of corruption or concatenation.
-        const std::uint64_t off = offset();
-        if (fill(err))
-            err = at(off) + "trailing garbage after the " +
-                  std::to_string(_info.recordCount) +
-                  " records the header declares";
-        return false;
+    err.clear();
+    std::size_t kept = 0;
+    if (_info.format != TraceFormat::Sliptrc2) {
+        TraceRecord rec;
+        const bool trc1 = _info.format == TraceFormat::Sliptrc1;
+        while (kept < max &&
+               (trc1 ? nextSliptrc1(rec, err) : nextText(rec, err)))
+            kept += emit(rec);
+        return kept;
     }
 
-    // One pass over a contiguous record: the window holds the longest
-    // possible record unless the input ends first, so running off its
-    // end means the file ends mid-record.
-    if (!fill(err, kTrc2MaxRecordBytes) && !err.empty())
-        return false;
-    const std::uint8_t *const begin = _buf.data() + _pos;
-    const std::uint8_t *const end = _buf.data() + _len;
-    const std::uint64_t start = offset();
-    if (begin == end) {
-        err = at(start) + "truncated trace: file ends after " +
-              std::to_string(_nread) + " of " +
-              std::to_string(_info.recordCount) + " records";
-        return false;
-    }
-    const std::uint8_t *p = begin;
-    const std::uint8_t head = *p++;
-    if ((head & ~kHeadKnown) != 0) {
-        char hex[16];
-        std::snprintf(hex, sizeof(hex), "0x%02x", unsigned(head));
-        err = at(start) + "invalid record flags " + hex;
-        return false;
-    }
+    // The SLIPTRC2 record decoder. It runs in locals and writes the
+    // reader's state back once, on every way out.
+    const std::uint8_t *p = _buf.get() + _pos;
+    const std::uint8_t *end = _buf.get() + _len;
+    const auto off = [&](const std::uint8_t *where) {
+        return _base + std::uint64_t(where - _buf.get());
+    };
+    const std::uint64_t count = _info.recordCount;
+    const unsigned cores = _info.coreCount;
+    const bool hasIcount = _info.hasIcount;
+    std::uint64_t *const prevAddr = _prevAddr.data();
+    std::uint64_t nread = _nread;
+    unsigned core = _core;
 
-    // Decode one varint field, naming its first byte on failure.
-    const auto field = [&](std::uint64_t &v, const char *what) {
-        const std::uint64_t off = start + std::uint64_t(p - begin);
-        switch (getVarint(p, end, v)) {
-          case VarintStatus::Ok:
-            return true;
-          case VarintStatus::Overrun:
-            err = at(off) + "varint overrun decoding " + what +
-                  " (more than " + std::to_string(kMaxVarintBytes) +
-                  " bytes)";
-            return false;
-          case VarintStatus::Truncated:
+    while (kept < max) {
+        if (nread == count) {
+            // The header promised exactly recordCount records; any
+            // byte beyond them is a sign of corruption or
+            // concatenation.
+            _pos = std::size_t(p - _buf.get());
+            const std::uint64_t after = offset();
+            if (fill(err))
+                err = at(after) + "trailing garbage after the " +
+                      std::to_string(count) +
+                      " records the header declares";
+            p = _buf.get() + _pos;
             break;
         }
-        err = at(off) + "truncated varint decoding " + what +
-              " (file ends mid-record)";
-        return false;
-    };
-
-    unsigned core = _core;
-    if (head & kHeadCore) {
-        std::uint64_t id;
-        if (!field(id, "core id"))
-            return false;
-        if (id >= _info.coreCount) {
-            err = at(start) + "impossible core id " +
-                  std::to_string(id) + " (trace has " +
-                  std::to_string(_info.coreCount) + " cores)";
-            return false;
+        // Keep the longest record contiguous: refill whenever fewer
+        // bytes remain, so running off the window's end means the
+        // file ends mid-record.
+        if (std::size_t(end - p) < kTrc2MaxRecordBytes && !_end) {
+            _pos = std::size_t(p - _buf.get());
+            const bool ok = fill(err, kTrc2MaxRecordBytes) || err.empty();
+            p = _buf.get() + _pos;
+            end = _buf.get() + _len;
+            if (!ok)
+                break;
         }
+        if (p == end) {
+            err = at(off(p)) + "truncated trace: file ends after " +
+                  std::to_string(nread) + " of " + std::to_string(count) +
+                  " records";
+            break;
+        }
+        const std::uint8_t head = *p;
+        if ((head & ~kHeadKnown) != 0) {
+            char hex[16];
+            std::snprintf(hex, sizeof(hex), "0x%02x", unsigned(head));
+            err = at(off(p)) + "invalid record flags " + hex;
+            break;
+        }
+
+        // Decode the fields after the head byte. field() notes where
+        // the field it decodes starts, to name it on failure; p moves
+        // past the record only once the whole record decoded.
+        const std::uint8_t *q = p + 1, *first = q;
+        VarintStatus st = VarintStatus::Ok;
+        const auto field = [&](std::uint64_t &v) {
+            first = q;
+            st = getVarint(q, end, v);
+            return st == VarintStatus::Ok;
+        };
+        std::uint64_t id = core, zz = 0, ic = 1;
+        const char *what = nullptr;  // the field that failed
+        if ((head & kHeadCore) && !field(id)) {
+            what = "core id";
+        } else if (id >= cores) {
+            err = at(off(p)) + "impossible core id " + std::to_string(id) +
+                  " (trace has " + std::to_string(cores) + " cores)";
+            break;
+        } else if (!field(zz)) {
+            what = "address delta";
+        } else if (hasIcount && !field(ic)) {
+            what = "icount delta";
+        }
+        if (what) {
+            err = at(off(first)) + varintError(st, what);
+            break;
+        }
+        p = q;
+
         core = static_cast<unsigned>(id);
+        const std::uint64_t addr =
+            prevAddr[core] + static_cast<std::uint64_t>(zigzagDecode(zz));
+        prevAddr[core] = addr;
+        ++nread;
+        kept += emit(TraceRecord{core, addr, (head & kHeadWrite) != 0, ic});
     }
-
-    std::uint64_t zz;
-    if (!field(zz, "address delta"))
-        return false;
-    std::uint64_t ic = 1;
-    if (_info.hasIcount && !field(ic, "icount delta"))
-        return false;
-
-    _pos += static_cast<std::size_t>(p - begin);
+    _pos = std::size_t(p - _buf.get());
+    _nread = nread;
     _core = core;
-    const std::uint64_t addr =
-        _prevAddr[core] + static_cast<std::uint64_t>(zigzagDecode(zz));
-    _prevAddr[core] = addr;
-    out.core = core;
-    out.addr = addr;
-    out.write = (head & kHeadWrite) != 0;
-    out.icountDelta = ic;
-    ++_nread;
-    return true;
+    return kept;
 }
 
 bool
@@ -677,13 +740,11 @@ TraceReader::nextText(TraceRecord &out, std::string &err)
 bool
 TraceReader::next(TraceRecord &out, std::string &err)
 {
-    err.clear();
-    switch (_info.format) {
-      case TraceFormat::Sliptrc2: return nextSliptrc2(out, err);
-      case TraceFormat::Sliptrc1: return nextSliptrc1(out, err);
-      case TraceFormat::Text: return nextText(out, err);
-    }
-    return false;
+    const auto keep = [&](const TraceRecord &rec) {
+        out = rec;
+        return true;
+    };
+    return decode(1, keep, err) == 1;
 }
 
 // ---------------------------------------------------------------------
@@ -908,26 +969,29 @@ TraceSource::open(const std::string &path, unsigned core, bool loop,
 std::size_t
 TraceSource::nextBatch(MemAccess *out, std::size_t max)
 {
-    TraceRecord rec;
-    std::string err;
+    const bool filter = _filter;
+    const unsigned core = _core;
     std::size_t n = 0;
+    const auto keep = [&](const TraceRecord &rec) {
+        if (filter && rec.core != core)
+            return false;
+        out[n].addr = rec.addr;
+        out[n].type = rec.write ? AccessType::Write : AccessType::Read;
+        ++n;
+        return true;
+    };
+    std::string err;
     while (n < max) {
-        if (_reader.next(rec, err)) {
-            if (_filter && rec.core != _core)
-                continue;
-            ++_matchedThisPass;
-            out[n].addr = rec.addr;
-            out[n].type = rec.write ? AccessType::Write
-                                    : AccessType::Read;
-            ++n;
-            continue;
-        }
-        // The file was validated when the source was opened, so a
-        // decode error here means it changed underneath the run.
+        _matchedThisPass += _reader.decode(max - n, keep, err);
+        // Validation reads only the header (and one legacy record), so
+        // a record damaged further into the file surfaces here, and an
+        // AccessSource has no way to report it but to stop the run.
         if (!err.empty())
             fatal("%s", err.c_str());
-        // Looping a pass that produced nothing for this core would
-        // spin forever; treat it as exhaustion instead.
+        if (n == max)
+            break;
+        // The pass ended. Looping a pass that produced nothing for
+        // this core would spin forever; treat it as exhaustion.
         if (!_loop || _matchedThisPass == 0)
             break;
         _matchedThisPass = 0;
@@ -953,24 +1017,16 @@ scanTrace(const std::string &path, TraceScan &out)
     out.info = r.info();
     out.perCore.assign(out.info.coreCount, 0);
 
-    TraceRecord rec;
-    while (r.next(rec, err)) {
-        ++out.records;
-        // A corrupt multicore trace can carry a core id beyond the
-        // header's core table; reject it instead of indexing past
-        // the per-core counters.
-        if (rec.core >= out.perCore.size())
-            return path + ": record " + std::to_string(out.records) +
-                   ": core id " + std::to_string(rec.core) +
-                   " out of range (header declares " +
-                   std::to_string(out.info.coreCount) + " core(s))";
+    // The decoder rejects a core id beyond the header's core count, so
+    // every record indexes the per-core counters.
+    const auto tally = [&](const TraceRecord &rec) {
         ++out.perCore[rec.core];
-        if (rec.write)
-            ++out.writes;
-        else
-            ++out.reads;
+        ++(rec.write ? out.writes : out.reads);
         out.icountTotal += rec.icountDelta;
-    }
+        return true;
+    };
+    out.records =
+        r.decode(std::numeric_limits<std::size_t>::max(), tally, err);
     if (!err.empty())
         return err;
     if (out.records == 0)

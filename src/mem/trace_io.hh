@@ -20,14 +20,22 @@
  * (`.gz`, when the build found zlib); zstd input is recognized and
  * rejected with a named "unsupported compression" error. Plain files
  * are read and gzip inflated in fixed-size stdio chunks, so multi-GB
- * traces stream with bounded memory.
+ * traces stream with bounded memory. Opening a trace decodes only the
+ * bytes its header needs (32 for SLIPTRC2, 8 for a magic or the first
+ * text bytes), so open and rewind cost a header parse, not a window.
+ * Nothing seeks except rewind: the compression sniff hands its bytes
+ * back to the stream, so a pipe reads like a file (`slip-trace info`,
+ * `validate` and `import` accept `/dev/stdin`) as long as nothing
+ * loops it.
  *
  * Error contract: open/parse failures are *recoverable* — every entry
  * point reports a path-and-offset-named error string instead of
  * aborting, so scenario validation can surface "$.workloads[i]: ..."
  * messages before a run starts. (TraceSource::nextBatch is the one
- * exception: the file was validated at open, so a mid-run decode
- * error means the file changed underneath the run and is fatal.)
+ * exception: an AccessSource has no error channel, and validation
+ * reads only the header and, for legacy formats, one record, so a
+ * record damaged further into the file is fatal when the run reaches
+ * it.)
  *
  * SLIPTRC2 layout (all integers little-endian):
  *   header  8B magic "SLIPTRC2"
@@ -44,9 +52,12 @@
  *           varint zigzag(addr - prev addr of this core)
  *           [varint icount-delta] only with header flag bit0
  * Varints are LEB128, at most 10 bytes ("varint overrun" beyond).
- * The reader decodes a record in one pointer pass over its window: a
- * refill carries the unconsumed tail forward, so a whole record (at
- * most 31 bytes) is contiguous unless the input ends there.
+ * One loop (TraceReader::decode) decodes SLIPTRC2 records straight
+ * from the reader's window into the caller's records; TraceReader::
+ * next, TraceSource::nextBatch and scanTrace all run it. A refill
+ * carries the unconsumed tail forward whenever fewer bytes than the
+ * longest record (31) remain, so every record is contiguous unless the
+ * input ends inside it.
  */
 
 #ifndef SLIP_MEM_TRACE_IO_HH
@@ -133,6 +144,8 @@ class TraceInput
     std::unique_ptr<Impl> _impl;
 };
 
+struct TraceScan;
+
 /**
  * Decodes any supported trace format (auto-detected) into
  * TraceRecords. All failures are reported as path-and-offset-named
@@ -147,7 +160,8 @@ class TraceReader
     TraceReader(const TraceReader &) = delete;
     TraceReader &operator=(const TraceReader &) = delete;
 
-    /** Open and parse the header. Returns "" or a named error. */
+    /** Open and parse the header, decoding only the header's bytes.
+     * Returns "" or a named error. */
     std::string open(const std::string &path);
 
     /**
@@ -157,18 +171,34 @@ class TraceReader
      */
     bool next(TraceRecord &out, std::string &err);
 
-    /** Restart from the first record. Returns "" or an error. */
+    /** Restart from the first record, decoding only the header's
+     * bytes. Returns "" or an error. */
     std::string rewind();
 
     const TraceInfo &info() const { return _info; }
     const std::string &path() const { return _path; }
     std::uint64_t recordsRead() const { return _nread; }
+    /** Decoded bytes taken from the input so far. */
+    std::uint64_t inputBytes() const { return _in.offset(); }
 
   private:
-    bool fill(std::string &err, std::size_t want = 1);
+    friend class TraceSource;
+    friend std::string scanTrace(const std::string &path,
+                                 TraceScan &out);
+
+    /**
+     * Decode records, handing each to @p emit (a callable taking a
+     * const TraceRecord & and returning whether it kept the record),
+     * until @p max were kept, the trace ends, or a record is damaged
+     * (@p err names it; the reader stays at the damaged record).
+     * Defined in trace_io.cc, its only user.
+     * @return records kept
+     */
+    template <class Emit>
+    std::size_t decode(std::size_t max, Emit &&emit, std::string &err);
+    bool fill(std::string &err, std::size_t want = 1, bool exact = false);
     int getByte(std::string &err);
     std::string parseHeader();
-    bool nextSliptrc2(TraceRecord &out, std::string &err);
     bool nextSliptrc1(TraceRecord &out, std::string &err);
     bool nextText(TraceRecord &out, std::string &err);
     std::uint64_t offset() const { return _base + _pos; }
@@ -177,7 +207,7 @@ class TraceReader
     TraceInput _in;
     TraceInfo _info;
     std::string _path;
-    std::vector<std::uint8_t> _buf;
+    std::unique_ptr<std::uint8_t[]> _buf;  ///< the read window
     std::size_t _pos = 0, _len = 0;
     std::uint64_t _base = 0;  ///< decoded offset of _buf[0]
     bool _end = false;        ///< underlying input exhausted

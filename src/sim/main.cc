@@ -42,8 +42,9 @@ usage()
         "slip-sim — SLIP cache-hierarchy simulator (ISCA 2015)\n"
         "\n"
         "  --bench NAME        workload from the SPEC-like suite\n"
-        "  --trace FILE        replay a trace file instead: the\n"
-        "                      workload trace:FILE (SLIPTRC2/SLIPTRC1/\n"
+        "  --trace FILE        replay a trace file instead of --bench\n"
+        "                      (the two are exclusive): the workload\n"
+        "                      trace:FILE (SLIPTRC2/SLIPTRC1/\n"
         "                      text, plain or .gz; loops when short;\n"
         "                      multicore SLIPTRC2 demuxes per core —\n"
         "                      see slip-trace)\n"
@@ -255,6 +256,9 @@ main(int argc, char **argv)
         workload_seed = scenario.workloadSeed;
     } else if (benchn.empty() && trace_path.empty()) {
         fatal("need --bench, --trace, or --scenario (see --help)");
+    } else if (!benchn.empty() && !trace_path.empty()) {
+        fatal("--bench and --trace are exclusive: --trace F runs the "
+              "workload trace:F");
     } else {
         // `--trace F` is the workload `trace:F`. Like a scenario's
         // trace: workloads, it is validated before the run and loops.

@@ -108,8 +108,9 @@ namespace {
  * through verbatim; `trace:path` names become a filename-safe token
  * carrying an FNV of the name (so two paths never collide textually)
  * plus an FNV of the raw file bytes, so editing a trace in place
- * misses the stale cache entry. Hashing re-reads the file on every
- * key() call — trace keys are computed once per run, and correctness
+ * misses the stale cache entry. Hashing re-reads the whole file on
+ * every key() call, so callers that need a key more than once keep it
+ * (SweepRunner computes each task's key once, in enqueue); correctness
  * under in-place edits beats caching the digest. Fatal when the file
  * is unreadable: callers validate trace workloads before building
  * specs, so this is a programmer error.

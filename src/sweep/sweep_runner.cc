@@ -47,7 +47,7 @@ SweepRunner::enqueue(const RunSpec &spec)
             memo_ctr.add();
             return it->second;
         }
-        Task task{spec, {}};
+        Task task{spec, key, {}};
         fut = task.promise.get_future().share();
         _memo.emplace(key, fut);
         _queue.push_back(std::move(task));
@@ -126,7 +126,7 @@ SweepRunner::execute(Task &task)
     {
         std::unique_lock<std::mutex> lock(_progressMu);
         if (_start)
-            _start(task.spec.key(), task.spec.label());
+            _start(task.key, task.spec.label());
     }
 
     const std::uint64_t t0 = obs::monotonicNowNs();
@@ -134,10 +134,10 @@ SweepRunner::execute(Task &task)
     RunResult r;
     bool cached = true;
     try {
-        if (!_cache.lookup(task.spec.key(), r)) {
+        if (!_cache.lookup(task.key, r)) {
             cached = false;
             r = executeRun(task.spec);
-            _cache.store(task.spec.key(), r);
+            _cache.store(task.key, r);
         }
     } catch (...) {
         task.promise.set_exception(std::current_exception());
@@ -148,7 +148,7 @@ SweepRunner::execute(Task &task)
         obs::monotonicSecondsBetween(t0, obs::monotonicNowNs());
 
     RunRecord rec;
-    rec.key = task.spec.key();
+    rec.key = task.key;
     rec.label = task.spec.label();
     rec.seconds = secs;
     rec.cached = cached;

@@ -108,6 +108,9 @@ class SweepRunner
     struct Task
     {
         RunSpec spec;
+        /** spec.key(), computed once by enqueue: a `trace:` key hashes
+         * the whole trace file. */
+        std::string key;
         std::promise<RunResult> promise;
     };
 

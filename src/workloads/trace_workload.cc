@@ -1,6 +1,7 @@
 #include "workloads/trace_workload.hh"
 
 #include <algorithm>
+#include <filesystem>
 #include <sstream>
 
 #include "workloads/spec_suite.hh"
@@ -25,6 +26,17 @@ validateTraceWorkload(const std::string &name, unsigned cores)
     const std::string path = traceWorkloadPath(name);
     if (path.empty())
         return "empty trace path (want trace:/path/to/file)";
+    // A run opens the file once here and once per core, and rewinds it
+    // to loop, so a pipe cannot feed it. Checked before opening, which
+    // would block on a FIFO without a writer; a missing file falls
+    // through to open's "cannot open" error.
+    std::error_code ec;
+    const std::filesystem::file_status st =
+        std::filesystem::status(path, ec);
+    if (!ec && !std::filesystem::is_regular_file(st))
+        return path + ": not a regular file (a trace: workload reopens "
+                      "and rewinds its trace; save a piped trace to a "
+                      "file first)";
 
     TraceReader r;
     std::string err = r.open(path);

@@ -14,6 +14,10 @@
  *    id. Single-core traces feed every core the full stream.
  *  - Sources loop deterministically when the capture is shorter than
  *    the run, so short captures still fill a measurement window.
+ *  - The path must name a regular file (a symlink to one, such as
+ *    `/dev/stdin` redirected from a file, is fine): a run opens it
+ *    once to validate and once per core, and rewinds it to loop. A
+ *    pipe is rejected by name; `slip-trace` reads pipes.
  *  - Validation (validateTraceWorkload) is recoverable: scenario
  *    validation surfaces "$.workloads[i]: <path>: ..." messages
  *    instead of aborting mid-run.
@@ -44,10 +48,12 @@ bool isTraceWorkload(const std::string &name);
 std::string traceWorkloadPath(const std::string &name);
 
 /**
- * Check that @p name is replayable on @p cores cores: path present
- * and openable, header valid, enough cores in the trace, at least
- * one record. Returns "" or a path-named error suitable for
- * prefixing with a "$.workloads[i]: " scenario path.
+ * Check that @p name is replayable on @p cores cores: path present,
+ * a regular file and openable, header valid, enough cores in the
+ * trace, at least one record. Reads only the header (and, for the
+ * legacy formats, which declare no record count, one record).
+ * Returns "" or a path-named error suitable for prefixing with a
+ * "$.workloads[i]: " scenario path.
  */
 std::string validateTraceWorkload(const std::string &name,
                                   unsigned cores);

@@ -4,9 +4,10 @@
  * round-trip properties for every readable format (the legacy ones
  * written as raw bytes) and for gzip, the SLIPTRC2-only writer,
  * per-core demux and looping in TraceSource, TraceSource::nextBatch
- * against repeated next() across window refills, a table-driven
- * malformed-input suite (every row must produce its exact path-and-
- * offset-named error, never a crash — this file runs under the
+ * against repeated next() across window refills, how many bytes an
+ * open decodes, a table-driven malformed-input suite (every row must
+ * produce its exact path-and-offset-named error from scanTrace, next()
+ * and the replay path, never a crash — this file runs under the
  * ASan/UBSan CI matrix), the ChampSim importer conformance fixture,
  * and the v9 sweep-cache keys that fold trace content into the
  * benchmark token.
@@ -18,6 +19,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -418,6 +420,53 @@ TEST(TraceSourceTest, BatchMatchesNextAcrossWindowRefillsGzip)
 }
 #endif
 
+/**
+ * Opening (and rewinding) a trace decodes only the bytes its header
+ * needs, however large the file: a count, not a timing, so a reader
+ * that inflates a whole window at open fails here deterministically.
+ */
+void
+openReadsOnlyTheHeader(const std::string &path)
+{
+    SCOPED_TRACE(path);
+    const auto recs = makeRecords(1, 300000, 11);
+    {
+        std::string err;
+        auto w = TraceWriter::create(path, TraceFormat::Sliptrc2, 1, &err);
+        ASSERT_NE(w, nullptr) << err;
+        for (const TraceRecord &r : recs)
+            w->append(r);
+        ASSERT_EQ(w->close(), "");
+    }
+    ASSERT_GE(std::filesystem::file_size(path), std::uintmax_t{1} << 20);
+
+    TraceReader r;
+    ASSERT_EQ(r.open(path), "");
+    EXPECT_EQ(r.inputBytes(), 32u);
+    std::string err;
+    TraceRecord got;
+    ASSERT_TRUE(r.next(got, err)) << err;
+    EXPECT_EQ(got.addr, recs[0].addr);
+    EXPECT_GT(r.inputBytes(), 4096u);  // records read whole windows
+    ASSERT_EQ(r.rewind(), "");
+    EXPECT_EQ(r.inputBytes(), 32u);
+    ASSERT_TRUE(r.next(got, err)) << err;
+    EXPECT_EQ(got.addr, recs[0].addr);
+    std::filesystem::remove(path);
+}
+
+TEST(TraceReaderTest, OpenReadsOnlyTheHeader)
+{
+    openReadsOnlyTheHeader(tempPath("open_cost.trc2"));
+}
+
+#ifdef SLIP_HAVE_ZLIB
+TEST(TraceReaderTest, OpenReadsOnlyTheHeaderGzip)
+{
+    openReadsOnlyTheHeader(tempPath("open_cost.trc2.gz"));
+}
+#endif
+
 // ---------------------------------------------------------------------
 // Malformed inputs: every row decodes to a named error, never a crash.
 // ---------------------------------------------------------------------
@@ -559,6 +608,28 @@ malformedCases()
     return cases;
 }
 
+/** A POSIX extended regex matching @p s literally. */
+std::string
+literalRegex(const std::string &s)
+{
+    std::string re;
+    for (const char c : s) {
+        if (std::strchr("\\.^$|()[]{}*+?", c))
+            re += '\\';
+        re += c;
+    }
+    return re;
+}
+
+/** Replay @p src to its end, as a run would. */
+void
+drain(TraceSource &src)
+{
+    std::vector<MemAccess> buf(64);
+    while (src.nextBatch(buf.data(), buf.size()) > 0) {
+    }
+}
+
 TEST(TraceMalformedTest, EveryCaseYieldsNamedError)
 {
     for (const MalformedCase &c : malformedCases()) {
@@ -582,6 +653,18 @@ TEST(TraceMalformedTest, EveryCaseYieldsNamedError)
         // that ends cleanly without a record.
         const bool scan_level = std::string(c.expect) == "no trace records";
         EXPECT_EQ(err, scan_level ? "" : want);
+
+        // The replay path runs the same decoder. A source fails to
+        // open with the header's error; a record-level error ends the
+        // run through fatal() with the same message.
+        auto src = TraceSource::open(path, 0, /*loop=*/false, &err);
+        if (!src)
+            EXPECT_EQ(err, want);
+        else if (scan_level)
+            drain(*src);
+        else
+            EXPECT_EXIT(drain(*src), ::testing::ExitedWithCode(1),
+                        literalRegex("fatal: " + want));
         std::filesystem::remove(path);
     }
 }

@@ -9,7 +9,11 @@
 #    same, non-empty provenance trace_hash;
 #  - slip-sim --trace loops a short trace: 1,000 records measure the
 #    5,000 references asked for;
-#  - slip-sim --trace rejects an empty trace by name, writing no stats.
+#  - slip-sim --trace rejects an empty trace by name, writing no stats;
+#  - slip-trace reads a trace from a pipe, plain and (with zlib) gzip,
+#    while slip-sim --trace rejects a pipe by name and replays a
+#    regular file redirected to /dev/stdin;
+#  - slip-sim rejects --bench together with --trace, naming both.
 #
 # usage: trace_smoke.sh SLIP_TRACE SLIP_BENCH SLIP_SIM CAPTURE_NAME
 #   CAPTURE_NAME is trace_smoke.trc2.gz with zlib, else trace_smoke.trc2
@@ -51,4 +55,27 @@ cat "$work/empty.err"
 [ "$rc" -eq 1 ] && grep -q 'no trace records' "$work/empty.err" &&
     [ ! -e "$work/empty.txt" ] ||
     { echo "empty trace: exit $rc"; exit 1; }
+# A trace: workload reopens and rewinds its file, so only slip-trace
+# reads pipes; a regular file behind /dev/stdin still replays.
+for f in "$t" "$work/short.trc2"; do
+    cat "$f" | "$trace" validate /dev/stdin
+done
+rc=0
+cat "$work/short.trc2" | "$sim" --trace /dev/stdin --refs 100 \
+    --stats "$work/pipe.txt" 2> "$work/pipe.err" || rc=$?
+cat "$work/pipe.err"
+[ "$rc" -eq 1 ] && grep -q '/dev/stdin: not a regular file' "$work/pipe.err" &&
+    [ ! -e "$work/pipe.txt" ] ||
+    { echo "piped --trace: exit $rc"; exit 1; }
+"$sim" --trace /dev/stdin --refs 5000 --warmup 0 \
+    --stats "$work/stdin.txt" < "$work/short.trc2"
+cmp "$work/short.txt" "$work/stdin.txt"
+
+rc=0
+"$sim" --bench mcf --trace "$work/short.trc2" --refs 100 \
+    --stats "$work/both.txt" 2> "$work/both.err" || rc=$?
+cat "$work/both.err"
+[ "$rc" -eq 1 ] && grep -q -e '--bench and --trace are exclusive' \
+    "$work/both.err" && [ ! -e "$work/both.txt" ] ||
+    { echo "--bench with --trace: exit $rc"; exit 1; }
 echo "trace_smoke: OK"
